@@ -30,7 +30,7 @@ from .bounds import (
     k_ps_bound,
     lambda_32_lower_bound,
     lambda_lower_bound,
-    lipschitz_bound_report,
+    lower_bound_report,
     m_rq_bound,
     m_rq_exact,
     unit_ball_volume,
@@ -54,6 +54,7 @@ from .eigensolver import (
     default_initial_field,
     inverse_iteration,
     minimize_rayleigh,
+    solve_eigenpair,
     solve_p_laplace_source,
 )
 from .verification import (
@@ -93,7 +94,7 @@ __all__ = [
     "k_ps_bound",
     "lambda_32_lower_bound",
     "lambda_lower_bound",
-    "lipschitz_bound_report",
+    "lower_bound_report",
     "lq_norm",
     "m_rq_bound",
     "m_rq_exact",
@@ -108,6 +109,7 @@ __all__ = [
     "read_field_text",
     "read_mesh_text",
     "reference_domain",
+    "solve_eigenpair",
     "solve_p_laplace_source",
     "unit_ball_volume",
     "write_field_text",

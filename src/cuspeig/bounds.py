@@ -338,29 +338,53 @@ def lambda_lower_bound(
     )
 
 
-def lipschitz_bound_report(n: int, p: float, q: float, s: float, r: float) -> BoundReport:
-    """Degenerate Lipschitz-cone bound through the Poincare constant alone.
+def lower_bound_report(
+    domain: CuspDomain,
+    p: float,
+    q: float,
+    s: float | None = None,
+    r: float | None = None,
+    b_constant: float | None = None,
+    fixed_a: float | None = None,
+    allow_n2: bool = False,
+) -> tuple[BoundReport, float | None, float | None]:
+    """Lower bound for (p, q) on a cusp domain and the (s, r) it used.
 
-    When gamma = n the identity map already carries the cone onto itself
-    and both the distortion and Jacobian factors of the identity are
-    volume powers <= 1, so 1/lambda <= B**p with a = 1 remains valid.
-    Used when the optimization window cannot be formed (e.g. p >= gamma).
+    For p < gamma this is :func:`lambda_lower_bound`, with missing (s, r)
+    filled by :meth:`ExponentConfig.from_domain`.  At the Lipschitz corner
+    (n, p, q) = (3, 3, 2), gamma = 3, the window degenerates, but the
+    composite bound extends continuously to a = 1 with m_rq = 1; there
+    (s, r) enter only the Poincare estimate, default to (1.5, 2.5), and are
+    returned as passed.  Any other p >= gamma, or a pinned a != 1 at the
+    corner, raises :class:`BoundConfigError`.
     """
-    if not q < r:
-        raise BoundConfigError(f"requires q<r, got q={q}, r={r}")
-    if not s < p:
-        raise BoundConfigError(f"requires s<p, got s={s}, p={p}")
-    b_const = b_rs_estimate(n, r, s)
-    f_star = b_const**p
-    return BoundReport(
-        a_star=1.0,
-        k_ps=1.0,
-        m_rq=1.0,
-        b_rs=b_const,
-        upper_on_inverse_lambda=f_star,
-        lambda_lower=1.0 / f_star,
-        interval=(1.0, 1.0),
-        evaluations=[(1.0, f_star)],
+    if p < domain.gamma:
+        cfg = ExponentConfig.from_domain(domain, p, q, s=s, r=r)
+        report = lambda_lower_bound(
+            cfg, domain, b_constant=b_constant, fixed_a=fixed_a, allow_n2=allow_n2
+        )
+        return report, cfg.s, cfg.r
+    corner = domain.n == 3 and p == 3.0 and q == 2.0 and domain.gamma == 3.0
+    if corner and fixed_a in (None, 1.0):
+        b_const = b_constant if b_constant is not None else b_rs_estimate(
+            3, float(r if r is not None else 2.5), float(s if s is not None else 1.5)
+        )
+        k_val = k_ps_bound(1.0, 3.0, domain)
+        f_val = (k_val * b_const) ** 3
+        report = BoundReport(
+            a_star=1.0,
+            k_ps=k_val,
+            m_rq=1.0,
+            b_rs=b_const,
+            upper_on_inverse_lambda=f_val,
+            lambda_lower=1.0 / f_val,
+            interval=(1.0, 1.0),
+            evaluations=[(1.0, f_val)],
+        )
+        return report, s, r
+    raise BoundConfigError(
+        f"requires p < gamma (got p={p}, gamma={domain.gamma}); the "
+        "degenerate corner is supported only for (n, p, q) = (3, 3, 2) at a = 1"
     )
 
 

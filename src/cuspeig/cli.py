@@ -10,22 +10,13 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
-from .bounds import (
-    BoundConfigError,
-    BoundReport,
-    ExponentConfig,
-    b_rs_estimate,
-    k_ps_bound,
-    lambda_lower_bound,
-)
-from .discretization import ScalarField
-from .eigensolver import ConvergenceError, inverse_iteration, minimize_rayleigh
+from .bounds import TWELVE_PI, BoundConfigError, lower_bound_report
+from .eigensolver import ConvergenceError, solve_eigenpair
 from .geometry import (
     BoxDomain,
     CuspDomain,
@@ -123,7 +114,6 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--resolution", type=int)
     solve.add_argument("--method", choices=("minimize", "iterate"))
     solve.add_argument("--tol", type=float)
-    solve.add_argument("--seed", type=int)
     solve.add_argument("--json", dest="json_path")
     solve.add_argument("--csv", dest="csv_path", help="write the iteration trace")
     solve.add_argument("--dump-mesh", dest="dump_mesh", help="write the mesh as plain text")
@@ -159,7 +149,6 @@ _DEFAULTS = {
         "resolution": 16,
         "method": "minimize",
         "tol": 1e-6,
-        "seed": 0,
     },
     "verify": {"seed": 0},
     "sweep": {
@@ -213,52 +202,25 @@ def _run_bound(config: RunConfig) -> int:
     gammas = _parse_floats(config.get("gammas"))
     use_12pi = bool(config.get("use_12pi", False))
     pin_a = config.get("pin_a")
-    s = config.get("s")
-    r = config.get("r")
+    unsafe_n2 = bool(config.get("unsafe_n2", False))
     if len(gammas) != n - 1:
         raise BoundConfigError(
             f"expected {n - 1} profile exponents for n={n}, got {gammas}"
         )
     domain = CuspDomain(gammas)
-    if n == 2 and not config.get("unsafe_n2", False):
+    if n == 2 and not unsafe_n2:
         raise BoundConfigError(
             "composite bound is stated for n >= 3; pass --unsafe-n2 to evaluate anyway"
         )
-    b_constant = 12.0 * math.pi if use_12pi else None
+    report, s, r = lower_bound_report(
+        domain, p, q, s=config.get("s"), r=config.get("r"),
+        b_constant=TWELVE_PI if use_12pi else None, fixed_a=pin_a,
+        allow_n2=unsafe_n2,
+    )
     echo = {
         "n": n, "p": p, "q": q, "s": s, "r": r, "gammas": list(gammas),
         "use_12pi": use_12pi, "pin_a": pin_a,
     }
-    if p < domain.gamma:
-        cfg = ExponentConfig.from_domain(domain, p, q, s=s, r=r)
-        echo["s"], echo["r"] = cfg.s, cfg.r
-        report = lambda_lower_bound(
-            cfg, domain, b_constant=b_constant, fixed_a=pin_a,
-            allow_n2=bool(config.get("unsafe_n2", False)),
-        )
-    elif n == 3 and p == 3.0 and q == 2.0 and domain.gamma == 3.0 and pin_a in (None, 1.0):
-        # Lipschitz corner: the optimization window degenerates, but the
-        # composite bound extends continuously to a = 1 with m_rq = 1.
-        b_const = b_constant if b_constant is not None else b_rs_estimate(
-            3, float(r if r is not None else 2.5), float(s if s is not None else 1.5)
-        )
-        k_val = k_ps_bound(1.0, 3.0, domain)
-        f_val = (k_val * b_const) ** 3
-        report = BoundReport(
-            a_star=1.0,
-            k_ps=k_val,
-            m_rq=1.0,
-            b_rs=b_const,
-            upper_on_inverse_lambda=f_val,
-            lambda_lower=1.0 / f_val,
-            interval=(1.0, 1.0),
-            evaluations=[(1.0, f_val)],
-        )
-    else:
-        raise BoundConfigError(
-            f"requires p < gamma (got p={p}, gamma={domain.gamma}); the "
-            "degenerate corner is supported only for (n, p, q) = (3, 3, 2) at a = 1"
-        )
     payload = {
         "schema": f"bound_report/{SCHEMA_VERSION}",
         "config": echo,
@@ -289,17 +251,13 @@ def _run_solve(config: RunConfig) -> int:
     if config.get("dump_mesh"):
         write_mesh_text(mesh, config.get("dump_mesh"))
 
-    trace_rows: list[tuple] = []
+    pair, trace = solve_eigenpair(mesh, p, q, method, tol)
     if method == "iterate":
-        pair, trace = inverse_iteration(
-            mesh, p, tol=max(tol * 1e-2, 1e-10), residual_tol=tol, q=q
-        )
         trace_rows = [
             (i, state.mu, state.energy, state.constraint_residual)
             for i, state in enumerate(trace)
         ]
     else:
-        pair = minimize_rayleigh(mesh, p, q, tol=tol)
         trace_rows = [
             (i, lam, lam, cres)
             for i, (lam, _res, cres) in enumerate(pair.diagnostics.get("history", []))
@@ -309,7 +267,6 @@ def _run_solve(config: RunConfig) -> int:
         "config": {
             "domain": domain_info, "p": p, "q": q,
             "resolution": resolution, "method": method, "tol": tol,
-            "seed": int(config.get("seed", 0)),
         },
         "result": {
             "lambda": pair.lam,
@@ -351,10 +308,7 @@ def _sweep_cell(task: tuple) -> tuple:
     n, q, sigma, p, resolution, method, tol = task
     domain = CuspDomain(tuple([sigma] * (n - 1)))
     mesh = mesh_cusp(domain, 1.0, resolution)
-    if method == "iterate":
-        pair, _ = inverse_iteration(mesh, p, tol=max(tol * 1e-2, 1e-10), residual_tol=tol, q=q)
-    else:
-        pair = minimize_rayleigh(mesh, p, q, tol=tol)
+    pair, _ = solve_eigenpair(mesh, p, q, method, tol)
     return (sigma, p, resolution, pair.lam, pair.weak_residual, pair.iterations)
 
 

@@ -47,7 +47,8 @@ class EnergyAssembly:
     """Per-mesh P1 operators: cell gradients, quadrature tables, p=2 forms."""
 
     def __init__(self, mesh: Mesh):
-        self.mesh = mesh
+        # Holds no reference to the mesh: the cache below is keyed weakly by
+        # it, and a value that refers to its own key keeps the key alive.
         n = mesh.n
         corners = mesh.nodes[mesh.cells]                 # (C, n+1, n)
         edges = corners[:, 1:, :] - corners[:, :1, :]    # (C, n, n), rows are edges
@@ -144,6 +145,10 @@ class EnergyAssembly:
 
     def zero_mean(self, values: np.ndarray) -> np.ndarray:
         return values - (self.mass_vector @ values) / self.volume
+
+    def project_load(self, load: np.ndarray) -> np.ndarray:
+        """Restrict a load functional to the zero-mean test space."""
+        return load - self.mass_vector * (load.sum() / self.volume)
 
     @cached_property
     def _neumann_lu(self):

@@ -75,9 +75,13 @@ def _sign_normalize(values: np.ndarray) -> np.ndarray:
     return values if values[peak] >= 0.0 else -values
 
 
-def _project_residual(asm, vec: np.ndarray) -> np.ndarray:
-    # Restrict a load functional to the zero-mean test space.
-    return vec - asm.mass_vector * (vec.sum() / asm.volume)
+def _weak_residual(asm, lhs: np.ndarray, rhs: np.ndarray) -> float:
+    # ||P(lhs - rhs)|| / ||P lhs|| with P the zero-mean load projection.
+    num = np.linalg.norm(asm.project_load(lhs - rhs))
+    den = np.linalg.norm(asm.project_load(lhs))
+    if den == 0.0:
+        return math.inf if num > 0.0 else 0.0
+    return float(num / den)
 
 
 def check_weak_residual(u: ScalarField, lam: float, p: float, q: float) -> float:
@@ -87,14 +91,9 @@ def check_weak_residual(u: ScalarField, lam: float, p: float, q: float) -> float
     - lam ||u||_q^(p-q) int |u|^(q-2) u phi_j, projects onto the zero-mean
     test space, and returns ||r|| / ||lhs||.
     """
-    asm = assembly(u.mesh)
     lhs = p_form_apply(u, p)
     rhs = lam * lq_norm(u, q) ** (p - q) * q_form_apply(u, q)
-    num = np.linalg.norm(_project_residual(asm, lhs - rhs))
-    den = np.linalg.norm(_project_residual(asm, lhs))
-    if den == 0.0:
-        return math.inf if num > 0.0 else 0.0
-    return float(num / den)
+    return _weak_residual(assembly(u.mesh), lhs, rhs)
 
 
 def default_initial_field(mesh: Mesh) -> ScalarField:
@@ -166,7 +165,7 @@ def solve_p_laplace_source(
 
     for iteration in range(max_iter):
         grad_vec = p_form_apply(ScalarField(mesh, v), p, eps=eps) - load
-        if asm.dual_norm(_project_residual(asm, grad_vec)) <= tol * scale:
+        if asm.dual_norm(asm.project_load(grad_vec)) <= tol * scale:
             return ScalarField(mesh, v)
         g = asm.gradients(v)
         sq = np.einsum("ci,ci->c", g, g) + eps * eps
@@ -324,11 +323,8 @@ def minimize_rayleigh(
         field_u = ScalarField(mesh, u)
         rayleigh = grad_norm_p(field_u, p)  # ||u||_q = 1 after normalization
         kp = p_form_apply(field_u, p, eps=eps)
-        mq = q_form_apply(field_u, q)
-        defect = kp - rayleigh * mq
-        num = np.linalg.norm(_project_residual(asm, defect))
-        den = np.linalg.norm(_project_residual(asm, kp))
-        resid = num / den if den > 0.0 else 0.0
+        rhs = rayleigh * q_form_apply(field_u, q)
+        resid = _weak_residual(asm, kp, rhs)
         history.append((rayleigh, resid, abs(constraint_value(field_u, q))))
         if resid <= tol:
             break
@@ -341,7 +337,7 @@ def minimize_rayleigh(
                 f"(tolerance {tol:g}) after {iteration} iterations"
             )
         recent_resids.append(resid)
-        grad_r = p * defect
+        grad_r = p * (kp - rhs)
         if p == 2.0:
             direction = -asm.solve_neumann(grad_r)
         else:
@@ -372,9 +368,7 @@ def minimize_rayleigh(
             candidate = ScalarField(mesh, normalized(u + t * direction))
             value = grad_norm_p(candidate, p)
             lhs = p_form_apply(candidate, p, eps=eps)
-            dd = lhs - value * q_form_apply(candidate, q)
-            dn = np.linalg.norm(_project_residual(asm, lhs))
-            return np.linalg.norm(_project_residual(asm, dd)) / dn if dn > 0.0 else 0.0
+            return _weak_residual(asm, lhs, value * q_form_apply(candidate, q))
 
         # Find a descending step scale, widen while improving, then refine.
         # An Armijo-first step keeps the stiffest modes undamped, so the
@@ -443,3 +437,19 @@ def minimize_rayleigh(
         iterations=iteration,
         diagnostics=diagnostics,
     )
+
+
+def solve_eigenpair(
+    mesh: Mesh, p: float, q: float, method: str, tol: float
+) -> tuple[EigenPair, list[IterationState]]:
+    """First nontrivial eigenpair by route A ("minimize") or B ("iterate").
+
+    ``tol`` bounds the weak residual of either route; route B also waits
+    for its multiplier drift to fall below tol / 100, floored at 1e-10.
+    Returns the pair and the inverse-iteration trace, empty for route A.
+    """
+    if method == "minimize":
+        return minimize_rayleigh(mesh, p, q, tol=tol), []
+    if method == "iterate":
+        return inverse_iteration(mesh, p, tol=max(tol * 1e-2, 1e-10), residual_tol=tol, q=q)
+    raise ValueError(f"unknown method {method!r}; expected 'minimize' or 'iterate'")

@@ -244,10 +244,9 @@ class Mesh:
     nodes: np.ndarray      # (N, n) coordinates
     cells: np.ndarray      # (C, n+1) node indices
     volumes: np.ndarray    # (C,) positive cell volumes
-    boundary: np.ndarray   # (N,) True on boundary nodes
 
     def __post_init__(self):
-        for arr in (self.nodes, self.cells, self.volumes, self.boundary):
+        for arr in (self.nodes, self.cells, self.volumes):
             arr.setflags(write=False)
 
     @property
@@ -367,17 +366,6 @@ def _grid_cells(shape: tuple[int, ...]) -> np.ndarray:
     raise GeometryError(f"no grid splitting for dimension {dim}")
 
 
-def _grid_boundary(shape: tuple[int, ...]) -> np.ndarray:
-    flags = np.zeros(shape, dtype=bool)
-    for axis in range(len(shape)):
-        sl = [slice(None)] * len(shape)
-        sl[axis] = 0
-        flags[tuple(sl)] = True
-        sl[axis] = -1
-        flags[tuple(sl)] = True
-    return flags.ravel()
-
-
 def _collapsed_grid_mesh(
     exponents: tuple[float, ...],
     a: float,
@@ -405,7 +393,7 @@ def _collapsed_grid_mesh(
     nodes[:, -1] = t**a
     cells = _grid_cells(shape)
     cells, vols = _orient_and_check(nodes, cells)
-    return Mesh(nodes=nodes, cells=cells, volumes=vols, boundary=_grid_boundary(shape))
+    return Mesh(nodes=nodes, cells=cells, volumes=vols)
 
 
 def _check_resolution(resolution: int):
@@ -454,7 +442,7 @@ def mesh_box(box: BoxDomain, resolution: int) -> Mesh:
     nodes = np.stack([g.ravel() for g in grids], axis=1)
     cells = _grid_cells(shape)
     cells, vols = _orient_and_check(nodes, cells)
-    return Mesh(nodes=nodes, cells=cells, volumes=vols, boundary=_grid_boundary(shape))
+    return Mesh(nodes=nodes, cells=cells, volumes=vols)
 
 
 def write_mesh_text(mesh: Mesh, path) -> None:
@@ -486,5 +474,4 @@ def read_mesh_text(path) -> Mesh:
         dtype=np.int64,
     )
     cells, vols = _orient_and_check(nodes, cells)
-    boundary = np.zeros(num_nodes, dtype=bool)
-    return Mesh(nodes=nodes, cells=cells, volumes=vols, boundary=boundary)
+    return Mesh(nodes=nodes, cells=cells, volumes=vols)

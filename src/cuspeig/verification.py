@@ -24,7 +24,7 @@ from .bounds import (
     m_rq_exact,
 )
 from .discretization import ScalarField, assembly, grad_norm_p, lq_norm, project_zero_mean
-from .eigensolver import inverse_iteration, minimize_rayleigh
+from .eigensolver import minimize_rayleigh, solve_eigenpair
 from .geometry import BoxDomain, CuspDomain, CuspMap, Mesh, mesh_box, mesh_cusp, mesh_reference
 
 ORACLE_NODE_LIMIT = 20_000
@@ -224,15 +224,6 @@ def operator_monotonicity_stats(
     }
 
 
-def _solve(mesh: Mesh, p: float, q: float, method: str, tol: float):
-    if method == "minimize":
-        return minimize_rayleigh(mesh, p, q, tol=tol)
-    if method == "iterate":
-        pair, _ = inverse_iteration(mesh, p, tol=max(tol * 1e-2, 1e-10), residual_tol=tol, q=q)
-        return pair
-    raise ValueError(f"unknown method {method!r}")
-
-
 def consistency_report(
     domain: CuspDomain,
     p: float,
@@ -260,8 +251,8 @@ def consistency_report(
         "method": method,
     }
     if method == "both":
-        pair_a = _solve(mesh, p, q, "minimize", solver_tol)
-        pair_b = _solve(mesh, p, q, "iterate", solver_tol)
+        pair_a, _ = solve_eigenpair(mesh, p, q, "minimize", solver_tol)
+        pair_b, _ = solve_eigenpair(mesh, p, q, "iterate", solver_tol)
         lam = min(pair_a.lam, pair_b.lam)
         disagreement = abs(pair_a.lam - pair_b.lam) / lam
         report["lambda_minimize"] = pair_a.lam
@@ -278,7 +269,7 @@ def consistency_report(
             report["multistart_lambdas"] = rng_lams
             lam = min(lam, min(rng_lams))
     else:
-        lam = _solve(mesh, p, q, method, solver_tol).lam
+        lam = solve_eigenpair(mesh, p, q, method, solver_tol)[0].lam
     report["lambda_numeric"] = lam
 
     n, gamma = domain.n, domain.gamma

@@ -240,7 +240,25 @@ class TestLambda32:
             ce.lambda_32_lower_bound(g1, g2)
 
 
-def test_lipschitz_bound_report():
-    report = ce.lipschitz_bound_report(3, 3.0, 2.0, 1.5, 2.5)
-    assert report.k_ps == 1.0 and report.m_rq == 1.0
-    assert report.lambda_lower == pytest.approx(report.b_rs ** (-3.0), rel=1e-14)
+class TestLowerBoundReport:
+    def test_composite_path_fills_exponents(self):
+        domain = ce.CuspDomain((1.5, 1.5))
+        report, s, r = ce.lower_bound_report(domain, 3.0, 2.0)
+        cfg = ce.ExponentConfig.from_domain(domain, 3.0, 2.0)
+        assert (s, r) == (cfg.s, cfg.r)
+        assert report.as_dict() == ce.lambda_lower_bound(cfg, domain).as_dict()
+
+    def test_lipschitz_corner_keeps_distortion(self):
+        # At a = 1 on the reference cone k_ps = sqrt(3), not 1.
+        report, s, r = ce.lower_bound_report(ce.CuspDomain((1.0, 1.0)), 3.0, 2.0)
+        assert (s, r) == (None, None)
+        assert report.k_ps == pytest.approx(math.sqrt(3.0), rel=1e-15)
+        expected = (math.sqrt(3.0) * ce.b_rs_estimate(3, 2.5, 1.5)) ** (-3.0)
+        assert report.lambda_lower == pytest.approx(expected, rel=1e-14)
+        assert report.interval == (1.0, 1.0)
+        assert report.evaluations == [(1.0, report.upper_on_inverse_lambda)]
+
+    @pytest.mark.parametrize("p,fixed_a", [(3.5, None), (3.0, 1.2)])
+    def test_rejects_other_degenerate_cases(self, p, fixed_a):
+        with pytest.raises(BoundConfigError, match="requires p < gamma"):
+            ce.lower_bound_report(ce.CuspDomain((1.0, 1.0)), p, 2.0, fixed_a=fixed_a)

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -215,3 +217,12 @@ def test_field_text_roundtrip(tmp_path, square16, rng):
     ce.write_field_text(u, path)
     back = ce.read_field_text(square16, path)
     np.testing.assert_array_equal(back.values, u.values)
+
+
+def test_assembly_cache_releases_mesh():
+    mesh = ce.mesh_box(ce.BoxDomain((1.0, 1.0)), 4)
+    assembly(mesh).stiffness
+    alive = weakref.ref(mesh)
+    del mesh
+    gc.collect()
+    assert alive() is None

@@ -183,3 +183,8 @@ def test_discrete_operator_monotone(cusp16):
     stats = operator_monotonicity_stats(cusp16, 3.0, pairs=40, seed=5)
     assert stats["min_pairing"] >= -1e-12
     assert stats["min_ratio"] > 0.0
+
+
+def test_solve_eigenpair_rejects_unknown_method(square16):
+    with pytest.raises(ValueError, match="unknown method 'newton'"):
+        ce.solve_eigenpair(square16, 2.0, 2.0, "newton", 1e-6)

@@ -156,17 +156,6 @@ def test_quadrature_rule_degree_two(n):
             assert quad == pytest.approx(exact, rel=1e-13)
 
 
-def test_boundary_flags_box():
-    mesh = ce.mesh_box(ce.BoxDomain((1.0, 1.0)), 4)
-    on_edge = (
-        (mesh.nodes[:, 0] == 0.0)
-        | (mesh.nodes[:, 0] == 1.0)
-        | (mesh.nodes[:, 1] == 0.0)
-        | (mesh.nodes[:, 1] == 1.0)
-    )
-    np.testing.assert_array_equal(mesh.boundary, on_edge)
-
-
 def test_mesh_text_roundtrip(tmp_path, cusp16):
     path = tmp_path / "mesh.txt"
     ce.write_mesh_text(cusp16, path)
