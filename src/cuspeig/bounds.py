@@ -347,16 +347,16 @@ def lower_bound_report(
     b_constant: float | None = None,
     fixed_a: float | None = None,
     allow_n2: bool = False,
-) -> tuple[BoundReport, float | None, float | None]:
+) -> tuple[BoundReport, float, float]:
     """Lower bound for (p, q) on a cusp domain and the (s, r) it used.
 
     For p < gamma this is :func:`lambda_lower_bound`, with missing (s, r)
     filled by :meth:`ExponentConfig.from_domain`.  At the Lipschitz corner
     (n, p, q) = (3, 3, 2), gamma = 3, the window degenerates, but the
     composite bound extends continuously to a = 1 with m_rq = 1; there
-    (s, r) enter only the Poincare estimate, default to (1.5, 2.5), and are
-    returned as passed.  Any other p >= gamma, or a pinned a != 1 at the
-    corner, raises :class:`BoundConfigError`.
+    (s, r) enter only the Poincare estimate and default to (1.5, 2.5).  Any
+    other p >= gamma, or a pinned a != 1 at the corner, raises
+    :class:`BoundConfigError`.
     """
     if p < domain.gamma:
         cfg = ExponentConfig.from_domain(domain, p, q, s=s, r=r)
@@ -366,9 +366,9 @@ def lower_bound_report(
         return report, cfg.s, cfg.r
     corner = domain.n == 3 and p == 3.0 and q == 2.0 and domain.gamma == 3.0
     if corner and fixed_a in (None, 1.0):
-        b_const = b_constant if b_constant is not None else b_rs_estimate(
-            3, float(r if r is not None else 2.5), float(s if s is not None else 1.5)
-        )
+        s = 1.5 if s is None else float(s)
+        r = 2.5 if r is None else float(r)
+        b_const = b_constant if b_constant is not None else b_rs_estimate(3, r, s)
         k_val = k_ps_bound(1.0, 3.0, domain)
         f_val = (k_val * b_const) ** 3
         report = BoundReport(

@@ -63,6 +63,10 @@ class EnergyAssembly:
         self.quad_w = mesh.quad_weights                  # (C, K)
         self.num_nodes = mesh.num_nodes
         self.volume = mesh.volume
+        # Pure-Neumann solves fix the free constant at one node on the base
+        # x_n = 1, where cells are largest; see bordered_factorization.
+        ground = int(np.argmax(mesh.nodes[:, -1]))
+        self.free = np.delete(np.arange(mesh.num_nodes), ground)
 
     def gradients(self, values: np.ndarray) -> np.ndarray:
         """(C, n) cell gradients of a nodal vector.
@@ -155,14 +159,33 @@ class EnergyAssembly:
         return self.bordered_factorization(self.stiffness)
 
     def bordered_factorization(self, matrix: sp.spmatrix):
-        """LU of [[A, m], [m^T, 0]]; solves pure-Neumann systems on zero-mean."""
-        m = self.mass_vector[:, None]
-        bordered = sp.bmat([[matrix, m], [m.T, None]], format="csc")
-        return spla.splu(bordered)
+        """LU of a Neumann matrix with the ground node's row and column dropped.
+
+        Every matrix solved here (stiffness, lagged-weight preconditioner,
+        Newton Hessian) is symmetric with the constants as its kernel, so the
+        grounded block is SPD: it takes a minimum-degree ordering on A^T + A
+        and diagonal pivots, and fills far less than the bordered saddle
+        matrix [[A, m], [m^T, 0]] would.  Grounding at a tip node instead,
+        where cells are tiny, loses accuracy.
+        """
+        block = matrix[self.free][:, self.free].tocsc()
+        return spla.splu(
+            block,
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        )
 
     def bordered_solve(self, lu, rhs: np.ndarray) -> np.ndarray:
-        ext = np.concatenate([rhs, [0.0]])
-        return lu.solve(ext)[:-1]
+        """Zero-mean x with A x = project_load(rhs), from a grounded LU of A.
+
+        The projected load is compatible (it annihilates constants), so the
+        grounded solution is a solution; removing its mean picks the one
+        the mean constraint selects.
+        """
+        x = np.zeros(self.num_nodes)
+        x[self.free] = lu.solve(self.project_load(rhs)[self.free])
+        return self.zero_mean(x)
 
     def solve_neumann(self, rhs: np.ndarray) -> np.ndarray:
         """Zero-mean solution of the p=2 stiffness system with load rhs."""

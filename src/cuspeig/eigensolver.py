@@ -140,7 +140,7 @@ def solve_p_laplace_source(
             f"got int f = {total:.3e}"
         )
     if p == 2.0:
-        return ScalarField(mesh, asm.zero_mean(asm.solve_neumann(load)))
+        return ScalarField(mesh, asm.solve_neumann(load))
 
     eps = EPS_REGULARIZATION if eps is None else eps
     scale = asm.dual_norm(load)
@@ -165,7 +165,7 @@ def solve_p_laplace_source(
 
     for iteration in range(max_iter):
         grad_vec = p_form_apply(ScalarField(mesh, v), p, eps=eps) - load
-        if asm.dual_norm(asm.project_load(grad_vec)) <= tol * scale:
+        if asm.dual_norm(grad_vec) <= tol * scale:
             return ScalarField(mesh, v)
         g = asm.gradients(v)
         sq = np.einsum("ci,ci->c", g, g) + eps * eps

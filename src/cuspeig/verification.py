@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 
 from .bounds import (
     ExponentConfig,
@@ -46,7 +47,7 @@ def oracle_linear_eigen(
     """Linear p = q = 2 oracle: blocked inverse iteration on (K, M).
 
     Assembles the stiffness and mass forms, restricts to the zero-mean
-    subspace through a bordered factorization, and runs inverse subspace
+    subspace through a grounded factorization, and runs inverse subspace
     iteration with a Rayleigh-Ritz projection each sweep.  The block
     absorbs (near-)degenerate first eigenspaces, e.g. the double mode of
     the unit square split at O(h^2) by the mesh diagonal.  Deterministic.
@@ -69,8 +70,6 @@ def oracle_linear_eigen(
     def ritz(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         gram = vectors.T @ (mass @ vectors)
         ham = vectors.T @ (stiffness @ vectors)
-        import scipy.linalg as sla
-
         vals, coeffs = sla.eigh(ham, gram)
         return vals, vectors @ coeffs
 
@@ -78,7 +77,7 @@ def oracle_linear_eigen(
     lam = math.inf
     for _ in range(max_iter):
         for j in range(basis.shape[1]):
-            basis[:, j] = asm.zero_mean(asm.solve_neumann(mass @ basis[:, j]))
+            basis[:, j] = asm.solve_neumann(mass @ basis[:, j])
         vals, basis = ritz(basis)
         lam = float(vals[0])
         if abs(lam - lam_prev) <= tol * lam:

@@ -251,7 +251,7 @@ class TestLowerBoundReport:
     def test_lipschitz_corner_keeps_distortion(self):
         # At a = 1 on the reference cone k_ps = sqrt(3), not 1.
         report, s, r = ce.lower_bound_report(ce.CuspDomain((1.0, 1.0)), 3.0, 2.0)
-        assert (s, r) == (None, None)
+        assert (s, r) == (1.5, 2.5)
         assert report.k_ps == pytest.approx(math.sqrt(3.0), rel=1e-15)
         expected = (math.sqrt(3.0) * ce.b_rs_estimate(3, 2.5, 1.5)) ** (-3.0)
         assert report.lambda_lower == pytest.approx(expected, rel=1e-14)
