@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.optimize import brentq
 
 from .geometry import Mesh
 
@@ -237,7 +238,7 @@ def constraint_value(u: ScalarField, q: float) -> float:
     return asm.integrate_pointwise(np.sign(vals) * np.abs(vals) ** (q - 1.0))
 
 
-def _constraint_of_shift(vals: np.ndarray, quad_w: np.ndarray, q: float, c: float) -> float:
+def _constraint_of_shift(c: float, vals: np.ndarray, quad_w: np.ndarray, q: float) -> float:
     shifted = vals - c
     return float(np.sum(quad_w * np.sign(shifted) * np.abs(shifted) ** (q - 1.0)))
 
@@ -246,8 +247,9 @@ def project_zero_mean(u: ScalarField, q: float = 2.0, max_iter: int = 200) -> Sc
     """Shift u by the unique constant making int |u-c|^(q-2)(u-c) vanish.
 
     The shift functional is continuous and strictly decreasing in c, so the
-    root is unique and bracketed by [min u, max u]; bisection is
-    unconditionally safe.  For q = 2 the root is the volume-weighted mean.
+    root is unique and bracketed by [min u, max u].  Brent's method finds it
+    to 1e-12 of the bracket in about a dozen evaluations of the quadrature
+    sum.  For q = 2 the root is the volume-weighted mean.
     """
     if not q > 1.0:
         raise ValueError(f"requires q > 1, got q={q}")
@@ -257,22 +259,18 @@ def project_zero_mean(u: ScalarField, q: float = 2.0, max_iter: int = 200) -> Sc
         raise ValueError("cannot project a constant field to zero (q-1)-mean")
     if q == 2.0:
         return u.with_values(asm.zero_mean(u.values))
-    vals = asm.quad_values(u.values)
-    tol = 1e-12 * (hi - lo)
-    flo = _constraint_of_shift(vals, asm.quad_w, q, lo)
-    fhi = _constraint_of_shift(vals, asm.quad_w, q, hi)
+    # The arrays go through args, not a closure: brentq's NaN-checking
+    # wrapper is self-referential, so a closure over the quadrature values
+    # would keep them alive until the cyclic collector runs.
+    args = (asm.quad_values(u.values), asm.quad_w, q)
+    flo = _constraint_of_shift(lo, *args)
+    fhi = _constraint_of_shift(hi, *args)
+    # brentq checks only that the signs differ, not their order.
     if flo < 0.0 or fhi > 0.0:  # strict monotonicity makes this unreachable
         raise ValueError("constraint function failed to bracket a root")
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        fmid = _constraint_of_shift(vals, asm.quad_w, q, mid)
-        if fmid > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= tol:
-            break
-    c = 0.5 * (lo + hi)
+    c = brentq(
+        _constraint_of_shift, lo, hi, args=args, xtol=1e-12 * (hi - lo), maxiter=max_iter
+    )
     return u.with_values(u.values - c)
 
 

@@ -155,7 +155,7 @@ def solve_p_laplace_source(
         energy = grad_norm_p(ScalarField(mesh, v0), p)
         pairing = load @ v0
         t = (pairing / energy) ** (1.0 / (p - 1.0)) if energy > 0.0 and pairing > 0.0 else 0.0
-        v = asm.zero_mean(t * v0)
+        v = t * v0
 
     phi = _p_energy(asm, v, p, eps, load)
     # Below this decrement the energy decrease is not representable in
@@ -237,6 +237,8 @@ def inverse_iteration(
         z = solve_p_laplace_source(
             mesh, p, ScalarField(mesh, w), tol=inner_tol, warm_start=warm
         )
+        # z is zero-mean up to round-off, which this removes.  It stays
+        # because the Newton step counts of later steps are chaotic in it.
         zv = asm.zero_mean(z.values)
         # Ray-optimal rescale: restores <A z, z> = <B w, z> exactly, which
         # keeps the mu/energy chain monotone under inexact inner solves.

@@ -25,5 +25,10 @@ def cusp16(cusp_domain_2d):
 
 
 @pytest.fixture(scope="session")
+def cusp_g2_res32(cusp_domain_2d):
+    return ce.mesh_cusp(cusp_domain_2d, 1.0, 32)
+
+
+@pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(0)

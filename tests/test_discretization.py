@@ -1,10 +1,10 @@
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
-from scipy.optimize import brentq
 
 import cuspeig as ce
 from cuspeig.discretization import assembly, p_form_apply, q_form_apply
@@ -129,29 +129,61 @@ class TestProjectZeroMean:
         shift = float(u.values[0] - projected.values[0])
         assert abs(shift) <= 1e-12
 
-    def test_bisection_against_brentq(self, square16, rng):
-        q = 2.5
-        u = field_of(square16, rng.uniform(-1.0, 1.0, square16.num_nodes))
+    @pytest.mark.parametrize("q", [1.5, 2.5, 3.0, 4.0])
+    @pytest.mark.parametrize("mesh_name", ["square16", "cusp_g2_res32"])
+    def test_shift_against_bisection(self, request, mesh_name, q, rng):
+        # The graded cusp mesh has quadrature weights down to 1e-21 at the tip.
+        mesh = request.getfixturevalue(mesh_name)
+        u = field_of(mesh, rng.uniform(-1.0, 1.0, mesh.num_nodes))
         projected = ce.project_zero_mean(u, q)
         tol = 1e-10 * ce.lq_norm(projected, q) ** (q - 1.0)
         assert abs(ce.constraint_value(projected, q)) < tol
-        asm = assembly(square16)
+
+        # Independent oracle: plain bisection on the decreasing shift
+        # functional, run well past the solver's 1e-12 bracket tolerance.
+        asm = assembly(mesh)
         vals = asm.quad_values(u.values)
 
         def constraint_of_shift(c):
             shifted = vals - c
-            return float(
-                np.sum(asm.quad_w * np.sign(shifted) * np.abs(shifted) ** (q - 1.0))
-            )
+            return np.sum(asm.quad_w * np.sign(shifted) * np.abs(shifted) ** (q - 1.0))
 
-        oracle = brentq(
-            constraint_of_shift,
-            float(u.values.min()),
-            float(u.values.max()),
-            xtol=1e-14,
-        )
+        lo, hi = float(u.values.min()), float(u.values.max())
+        width = hi - lo
+        while hi - lo > 1e-15 * width:
+            mid = 0.5 * (lo + hi)
+            if mid in (lo, hi):
+                break
+            if constraint_of_shift(mid) > 0.0:
+                lo = mid
+            else:
+                hi = mid
+        oracle = 0.5 * (lo + hi)
         ours = float(u.values[0] - projected.values[0])
-        assert ours == pytest.approx(oracle, abs=1e-11)
+        assert ours == pytest.approx(oracle, abs=1e-11 * width)
+
+    def test_projection_frees_its_quadrature_arrays(self):
+        # Each call evaluates the shift functional on a fresh (C, K) array of
+        # quadrature values.  With the cyclic collector off, a reference
+        # cycle that holds that array would keep it alive after the call.
+        mesh = ce.mesh_cusp(ce.CuspDomain((2.0,)), 1.0, 64)
+        u = field_of(mesh, mesh.nodes[:, -1] ** 2)
+        array_bytes = assembly(mesh).quad_values(u.values).nbytes
+        ce.project_zero_mean(u, 3.0)  # warm caches outside the measurement
+        was_enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            for _ in range(20):
+                ce.project_zero_mean(u, 3.0)
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            if was_enabled:
+                gc.enable()
+        assert after - before < array_bytes
 
     def test_constant_rejected(self, square16):
         u = field_of(square16, np.full(square16.num_nodes, 1.0))
