@@ -29,6 +29,8 @@ def cusp_g2_res32(cusp_domain_2d):
     return ce.mesh_cusp(cusp_domain_2d, 1.0, 32)
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture
 def rng():
+    # One generator per test, so a test's random fields do not depend on
+    # which tests drew before it.
     return np.random.default_rng(0)
