@@ -7,7 +7,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import cuspeig as ce
-from cuspeig.discretization import assembly
+from cuspeig.discretization import EnergyAssembly, assembly, p_form_apply
 from cuspeig.eigensolver import ConvergenceError
 
 
@@ -48,8 +48,6 @@ class TestPLaplaceSource:
         f = zero_mean_field(square16, rng.uniform(-1.0, 1.0, square16.num_nodes))
         v = ce.solve_p_laplace_source(square16, 1.8, f, tol=1e-9)
         residual = ce.check_weak_residual  # noqa: F841  (solution checked below)
-        from cuspeig.discretization import p_form_apply
-
         defect = p_form_apply(v, 1.8) - assembly(square16).mass @ f.values
         defect -= assembly(square16).mass_vector * defect.sum() / square16.volume
         assert np.linalg.norm(defect) <= 1e-6
@@ -58,6 +56,14 @@ class TestPLaplaceSource:
         f = ce.ScalarField(square16, np.ones(square16.num_nodes))
         with pytest.raises(ValueError, match="zero mean"):
             ce.solve_p_laplace_source(square16, 2.0, f)
+
+    def test_unreached_tol_names_step_and_gradient(self, square16, rng):
+        f = zero_mean_field(square16, rng.uniform(-1.0, 1.0, square16.num_nodes))
+        with pytest.raises(ConvergenceError) as info:
+            ce.solve_p_laplace_source(square16, 3.0, f, tol=1e-14, max_iter=1)
+        message = str(info.value)
+        assert "did not reach tol=1e-14" in message
+        assert "relative gradient" in message and "at step 1" in message
 
 
 def dense_first_eigenpair(mesh):
@@ -116,6 +122,55 @@ class TestInverseIteration:
     def test_rejects_general_q(self, square16):
         with pytest.raises(ValueError, match="q = 2"):
             ce.inverse_iteration(square16, 2.0, q=2.5)
+
+    # The inner tolerance follows the outer weak residual: on this cusp,
+    # 1e-11 inner solves at every step took 51 and 69 factorizations.
+    @pytest.mark.parametrize(
+        "p, lam_ref, max_factorizations",
+        [(2.5, 27.890500604215, 30), (3.0, 69.4090314701951, 55)],
+    )
+    def test_inexact_inner_solves(
+        self, cusp_g2_res32, monkeypatch, p, lam_ref, max_factorizations
+    ):
+        count = [0]
+        factor = EnergyAssembly.bordered_factorization
+
+        def counted(self, matrix):
+            count[0] += 1
+            return factor(self, matrix)
+
+        monkeypatch.setattr(EnergyAssembly, "bordered_factorization", counted)
+        pair, trace = ce.inverse_iteration(cusp_g2_res32, p, tol=1e-8, residual_tol=1e-6)
+        assert count[0] <= max_factorizations
+        assert pair.lam == pytest.approx(lam_ref, rel=1e-10)
+        for label in ("mu", "energy"):
+            chain = np.array([getattr(state, label) for state in trace])
+            assert np.all(chain[1:] <= chain[:-1] * (1.0 + 1e-10))
+        # Each step's tolerance is 1e-3 times the relative dual-norm
+        # gradient its warm start begins from, so every inner solve works.
+        asm = assembly(cusp_g2_res32)
+        assert trace[0].inner_tol == 1e-3
+        for prev, state in zip(trace, trace[1:]):
+            theta = prev.energy ** (-1.0 / (p - 1.0))
+            load = asm.mass @ prev.w.values
+            warm = ce.ScalarField(cusp_g2_res32, theta * prev.w.values)
+            start_grad = asm.dual_norm(p_form_apply(warm, p) - load) / asm.dual_norm(load)
+            expected = max(1e-11, min(1e-3, 1e-3 * start_grad))
+            assert state.inner_tol == pytest.approx(expected, rel=1e-6)
+        assert trace[-1].inner_tol <= 1e-5 * trace[0].inner_tol
+
+    def test_perturbed_start_does_not_stall(self, cusp_domain_2d):
+        # From this start an inner tolerance tied to the nodal weak
+        # residual stops above the warm start's gradient from step 9 on,
+        # and the iteration stands still at weak residual 0.2.
+        mesh = ce.mesh_cusp(cusp_domain_2d, 1.0, 64)
+        x = ce.default_initial_field(mesh).values
+        noise = np.random.default_rng(5).uniform(-1.0, 1.0, mesh.num_nodes)
+        start = ce.ScalarField(mesh, x + 0.01 * np.max(np.abs(x)) * noise)
+        pair, _ = ce.inverse_iteration(
+            mesh, 3.0, w0=start, tol=1e-8, residual_tol=1e-6, max_iter=40
+        )
+        assert pair.weak_residual <= 1e-6
 
     def test_eigenpair_invariants(self, cusp16):
         pair, _ = ce.inverse_iteration(cusp16, 2.5, tol=1e-8, residual_tol=1e-5)
