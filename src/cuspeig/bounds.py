@@ -26,6 +26,9 @@ TWELVE_PI = 12.0 * math.pi
 # the objective extends continuously to the closure.
 _ENDPOINT_MARGIN = 1e-9
 
+# Grid points of the coarse scan that brackets the golden-section search.
+_SCAN_POINTS = 512
+
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -275,8 +278,6 @@ def _objective(a: float, cfg: ExponentConfig, domain: CuspDomain, b_const: float
 def lambda_lower_bound(
     cfg: ExponentConfig,
     domain: CuspDomain,
-    grid: int = 512,
-    a_tol: float = 1e-10,
     b_constant: float | None = None,
     fixed_a: float | None = None,
     allow_n2: bool = False,
@@ -309,7 +310,7 @@ def lambda_lower_bound(
             raise BoundConfigError(f"non-finite objective at a={a}")
         return val
 
-    grid_a = np.linspace(lo_c, hi_c, grid)
+    grid_a = np.linspace(lo_c, hi_c, _SCAN_POINTS)
     grid_f = [f(a) for a in grid_a]
     evaluations = list(zip(grid_a.tolist(), grid_f))
     if fixed_a is not None:
@@ -322,8 +323,8 @@ def lambda_lower_bound(
     else:
         k = int(np.argmin(grid_f))
         blo = grid_a[max(k - 1, 0)]
-        bhi = grid_a[min(k + 1, grid - 1)]
-        a_star, f_star = _golden_section_min(f, blo, bhi, tol=a_tol)
+        bhi = grid_a[min(k + 1, _SCAN_POINTS - 1)]
+        a_star, f_star = _golden_section_min(f, blo, bhi)
         if grid_f[k] < f_star:
             a_star, f_star = grid_a[k], grid_f[k]
     return BoundReport(

@@ -12,7 +12,6 @@ import csv
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
 
 from .bounds import TWELVE_PI, BoundConfigError, lower_bound_report
@@ -32,18 +31,6 @@ SCHEMA_VERSION = 1
 EXIT_OK = 0
 EXIT_NUMERICAL = 1
 EXIT_CONFIG = 2
-
-
-@dataclass
-class RunConfig:
-    """Merged options for one subcommand run (defaults < file < flags)."""
-
-    command: str
-    options: dict
-
-    def get(self, key, default=None):
-        value = self.options.get(key)
-        return default if value is None else value
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:
@@ -181,10 +168,30 @@ _TYPES = {
 }
 
 
-def _merge_config(args: argparse.Namespace) -> RunConfig:
+def _flag_keys(parser: argparse.ArgumentParser) -> set[str]:
+    """Option names that the flags of some subcommand define."""
+    (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        action.dest
+        for sub in commands.choices.values()
+        for action in sub._actions
+        if action.dest != "help"
+    }
+
+
+def _merge_config(args: argparse.Namespace, flag_keys: set[str]) -> dict:
+    """Options for one subcommand run: defaults < config file < flags.
+
+    A config key may belong to any subcommand, so one file can serve
+    several; a key that no subcommand defines is rejected.
+    """
     merged = dict(_DEFAULTS.get(args.command, {}))
     if args.config:
-        for key, raw in _load_config_file(args.config).items():
+        file_values = _load_config_file(args.config)
+        unknown = sorted(set(file_values) - flag_keys)
+        if unknown:
+            raise ValueError(f"unknown config key(s) {', '.join(unknown)} in {args.config}")
+        for key, raw in file_values.items():
             merged[key] = _TYPES[key](raw) if key in _TYPES else raw
     for key, val in vars(args).items():
         if key in ("config", "command") or val is None:
@@ -192,17 +199,17 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         if val is False and key in ("use_12pi", "unsafe_n2", "fast"):
             continue  # absent store_true flags must not mask config values
         merged[key] = val
-    return RunConfig(command=args.command, options=merged)
+    return merged
 
 
-def _run_bound(config: RunConfig) -> int:
-    n = int(config.get("n"))
-    p = float(config.get("p"))
-    q = float(config.get("q"))
-    gammas = _parse_floats(config.get("gammas"))
-    use_12pi = bool(config.get("use_12pi", False))
-    pin_a = config.get("pin_a")
-    unsafe_n2 = bool(config.get("unsafe_n2", False))
+def _run_bound(options: dict) -> int:
+    n = int(options.get("n"))
+    p = float(options.get("p"))
+    q = float(options.get("q"))
+    gammas = _parse_floats(options.get("gammas"))
+    use_12pi = bool(options.get("use_12pi", False))
+    pin_a = options.get("pin_a")
+    unsafe_n2 = bool(options.get("unsafe_n2", False))
     if len(gammas) != n - 1:
         raise BoundConfigError(
             f"expected {n - 1} profile exponents for n={n}, got {gammas}"
@@ -213,7 +220,7 @@ def _run_bound(config: RunConfig) -> int:
             "composite bound is stated for n >= 3; pass --unsafe-n2 to evaluate anyway"
         )
     report, s, r = lower_bound_report(
-        domain, p, q, s=config.get("s"), r=config.get("r"),
+        domain, p, q, s=options.get("s"), r=options.get("r"),
         b_constant=TWELVE_PI if use_12pi else None, fixed_a=pin_a,
         allow_n2=unsafe_n2,
     )
@@ -226,30 +233,30 @@ def _run_bound(config: RunConfig) -> int:
         "config": echo,
         "report": report.as_dict(),
     }
-    _write_json(config.get("json_path"), payload)
-    if config.get("csv_path"):
+    _write_json(options.get("json_path"), payload)
+    if options.get("csv_path"):
         _write_csv(
-            config.get("csv_path"), ["a", "objective"],
+            options.get("csv_path"), ["a", "objective"],
             [(a, obj) for a, obj in report.evaluations],
         )
     return EXIT_OK
 
 
-def _run_solve(config: RunConfig) -> int:
-    p = float(config.get("p"))
-    q = float(config.get("q"))
-    resolution = int(config.get("resolution"))
-    method = config.get("method")
-    tol = float(config.get("tol"))
-    if config.get("domain") == "box":
-        domain_info = {"type": "box", "sides": list(_parse_floats(config.get("sides")))}
-        mesh = mesh_box(BoxDomain(_parse_floats(config.get("sides"))), resolution)
+def _run_solve(options: dict) -> int:
+    p = float(options.get("p"))
+    q = float(options.get("q"))
+    resolution = int(options.get("resolution"))
+    method = options.get("method")
+    tol = float(options.get("tol"))
+    if options.get("domain") == "box":
+        domain_info = {"type": "box", "sides": list(_parse_floats(options.get("sides")))}
+        mesh = mesh_box(BoxDomain(_parse_floats(options.get("sides"))), resolution)
     else:
-        gammas = _parse_floats(config.get("gammas"))
-        domain_info = {"type": "cusp", "gammas": list(gammas), "a": float(config.get("a"))}
-        mesh = mesh_cusp(CuspDomain(gammas), float(config.get("a")), resolution)
-    if config.get("dump_mesh"):
-        write_mesh_text(mesh, config.get("dump_mesh"))
+        gammas = _parse_floats(options.get("gammas"))
+        domain_info = {"type": "cusp", "gammas": list(gammas), "a": float(options.get("a"))}
+        mesh = mesh_cusp(CuspDomain(gammas), float(options.get("a")), resolution)
+    if options.get("dump_mesh"):
+        write_mesh_text(mesh, options.get("dump_mesh"))
 
     pair, trace = solve_eigenpair(mesh, p, q, method, tol)
     if method == "iterate":
@@ -277,19 +284,19 @@ def _run_solve(config: RunConfig) -> int:
             "cells": mesh.num_cells,
         },
     }
-    _write_json(config.get("json_path"), payload)
-    if config.get("csv_path"):
+    _write_json(options.get("json_path"), payload)
+    if options.get("csv_path"):
         _write_csv(
-            config.get("csv_path"),
+            options.get("csv_path"),
             ["n", "mu_n", "energy_n", "constraint_residual"],
             trace_rows,
         )
     return EXIT_OK
 
 
-def _run_verify(config: RunConfig) -> int:
+def _run_verify(options: dict) -> int:
     checks = run_verify_suite(
-        fast=bool(config.get("fast", False)), seed=int(config.get("seed", 0))
+        fast=bool(options.get("fast", False)), seed=int(options.get("seed", 0))
     )
     passed = all(check["passed"] for check in checks)
     payload = {
@@ -297,7 +304,7 @@ def _run_verify(config: RunConfig) -> int:
         "passed": passed,
         "checks": checks,
     }
-    _write_json(config.get("json_path"), payload)
+    _write_json(options.get("json_path"), payload)
     for check in checks:
         status = "PASS" if check["passed"] else "FAIL"
         sys.stderr.write(f"[{status}] {check['name']}\n")
@@ -312,25 +319,25 @@ def _sweep_cell(task: tuple) -> tuple:
     return (sigma, p, resolution, pair.lam, pair.weak_residual, pair.iterations)
 
 
-def _run_sweep(config: RunConfig) -> int:
-    n = int(config.get("n"))
-    q = float(config.get("q"))
-    method = config.get("method")
-    tol = float(config.get("tol"))
+def _run_sweep(options: dict) -> int:
+    n = int(options.get("n"))
+    q = float(options.get("q"))
+    method = options.get("method")
+    tol = float(options.get("tol"))
     tasks = [
         (n, q, sigma, p, int(res), method, tol)
-        for sigma in _parse_floats(config.get("gamma_grid"))
-        for p in _parse_floats(config.get("p_grid"))
-        for res in _parse_floats(config.get("resolution_grid"))
+        for sigma in _parse_floats(options.get("gamma_grid"))
+        for p in _parse_floats(options.get("p_grid"))
+        for res in _parse_floats(options.get("resolution_grid"))
     ]
-    workers = int(config.get("workers", 1))
+    workers = int(options.get("workers", 1))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_cell, tasks))
     else:
         rows = [_sweep_cell(task) for task in tasks]
     _write_csv(
-        config.get("csv_path"),
+        options.get("csv_path"),
         ["gamma_i", "p", "resolution", "lambda", "weak_residual", "iterations"],
         rows,
     )
@@ -345,16 +352,16 @@ _RUNNERS = {
 }
 
 
-def run(config: RunConfig) -> int:
-    """Dispatch a merged configuration; exit code semantics as `main`."""
-    return _RUNNERS[config.command](config)
+def run(command: str, options: dict) -> int:
+    """Run a subcommand on merged options; exit code semantics as `main`."""
+    return _RUNNERS[command](options)
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     try:
-        config = _merge_config(args)
-        return run(config)
+        return run(args.command, _merge_config(args, _flag_keys(parser)))
     except (BoundConfigError, GeometryError, ValueError) as exc:
         sys.stderr.write(f"configuration error: {exc}\n")
         return EXIT_CONFIG

@@ -234,8 +234,7 @@ def constraint_value(u: ScalarField, q: float) -> float:
     if not q > 1.0:
         raise ValueError(f"requires q > 1, got q={q}")
     asm = assembly(u.mesh)
-    vals = asm.quad_values(u.values)
-    return asm.integrate_pointwise(np.sign(vals) * np.abs(vals) ** (q - 1.0))
+    return _constraint_of_shift(0.0, asm.quad_values(u.values), asm.quad_w, q)
 
 
 def _constraint_of_shift(c: float, vals: np.ndarray, quad_w: np.ndarray, q: float) -> float:
@@ -243,7 +242,7 @@ def _constraint_of_shift(c: float, vals: np.ndarray, quad_w: np.ndarray, q: floa
     return float(np.sum(quad_w * np.sign(shifted) * np.abs(shifted) ** (q - 1.0)))
 
 
-def project_zero_mean(u: ScalarField, q: float = 2.0, max_iter: int = 200) -> ScalarField:
+def project_zero_mean(u: ScalarField, q: float = 2.0) -> ScalarField:
     """Shift u by the unique constant making int |u-c|^(q-2)(u-c) vanish.
 
     The shift functional is continuous and strictly decreasing in c, so the
@@ -269,7 +268,7 @@ def project_zero_mean(u: ScalarField, q: float = 2.0, max_iter: int = 200) -> Sc
     if flo < 0.0 or fhi > 0.0:  # strict monotonicity makes this unreachable
         raise ValueError("constraint function failed to bracket a root")
     c = brentq(
-        _constraint_of_shift, lo, hi, args=args, xtol=1e-12 * (hi - lo), maxiter=max_iter
+        _constraint_of_shift, lo, hi, args=args, xtol=1e-12 * (hi - lo), maxiter=200
     )
     return u.with_values(u.values - c)
 

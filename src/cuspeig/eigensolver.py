@@ -47,9 +47,10 @@ EPS_REGULARIZATION = 1e-10
 _ARMIJO_FACTOR = 1e-4
 
 # Inexact inner solves of inverse iteration: step n gets the tolerance
-# max(inner_tol, min(_INNER_TOL_CAP, _INNER_TOL_RATIO * r)), with r the
-# weak residual of step n-1 in the inner solve's dual norm, so the first
-# step (r = inf) runs to _INNER_TOL_CAP.
+# max(_INNER_TOL_FLOOR, min(_INNER_TOL_CAP, _INNER_TOL_RATIO * r)), with r
+# the weak residual of step n-1 in the inner solve's dual norm, so the
+# first step (r = inf) runs to _INNER_TOL_CAP.
+_INNER_TOL_FLOOR = 1e-11
 _INNER_TOL_CAP = 1e-3
 _INNER_TOL_RATIO = 1e-3
 
@@ -123,9 +124,9 @@ def _l2_norm(asm, values: np.ndarray) -> float:
     return float(np.sqrt(max(values @ (asm.mass @ values), 0.0)))
 
 
-def _p_energy(asm, values: np.ndarray, p: float, eps: float, load: np.ndarray) -> float:
+def _p_energy(asm, values: np.ndarray, p: float, load: np.ndarray) -> float:
     g = asm.gradients(values)
-    sq = np.einsum("ci,ci->c", g, g) + eps * eps
+    sq = np.einsum("ci,ci->c", g, g) + EPS_REGULARIZATION * EPS_REGULARIZATION
     return float(np.sum(asm.volumes * sq ** (p / 2.0)) / p - load @ values)
 
 
@@ -136,7 +137,6 @@ def solve_p_laplace_source(
     tol: float = 1e-11,
     max_iter: int = 80,
     warm_start: ScalarField | None = None,
-    eps: float | None = None,
 ) -> ScalarField:
     """Zero-mean minimizer of (1/p) int |grad v|^p - int f v.
 
@@ -159,7 +159,6 @@ def solve_p_laplace_source(
     if p == 2.0:
         return ScalarField(mesh, asm.solve_neumann(load))
 
-    eps = EPS_REGULARIZATION if eps is None else eps
     scale = asm.dual_norm(load)
     if scale == 0.0:
         return ScalarField(mesh, np.zeros(mesh.num_nodes))
@@ -174,7 +173,7 @@ def solve_p_laplace_source(
         t = (pairing / energy) ** (1.0 / (p - 1.0)) if energy > 0.0 and pairing > 0.0 else 0.0
         v = t * v0
 
-    phi = _p_energy(asm, v, p, eps, load)
+    phi = _p_energy(asm, v, p, load)
     # Below this decrement the energy decrease is not representable in
     # float64, so the iterate is converged to working precision.
     def at_float_floor(decrement: float) -> bool:
@@ -182,12 +181,12 @@ def solve_p_laplace_source(
 
     rel_grad = math.inf
     for iteration in range(max_iter):
-        grad_vec = p_form_apply(ScalarField(mesh, v), p, eps=eps) - load
+        grad_vec = p_form_apply(ScalarField(mesh, v), p, eps=EPS_REGULARIZATION) - load
         rel_grad = asm.dual_norm(grad_vec) / scale
         if rel_grad <= tol:
             return ScalarField(mesh, v)
         g = asm.gradients(v)
-        sq = np.einsum("ci,ci->c", g, g) + eps * eps
+        sq = np.einsum("ci,ci->c", g, g) + EPS_REGULARIZATION * EPS_REGULARIZATION
         w1 = sq ** ((p - 2.0) / 2.0)
         w2 = (p - 2.0) * sq ** ((p - 4.0) / 2.0)
         rank_rows = np.einsum("cik,ci->ck", asm.grads, g)  # d_c = G^T g
@@ -203,7 +202,7 @@ def solve_p_laplace_source(
         t = 1.0
         for _ in range(60):
             candidate = v + t * direction
-            phi_new = _p_energy(asm, candidate, p, eps, load)
+            phi_new = _p_energy(asm, candidate, p, load)
             if phi_new <= phi + _ARMIJO_FACTOR * t * slope:
                 break
             t *= 0.5
@@ -227,7 +226,6 @@ def inverse_iteration(
     tol: float = 1e-8,
     max_iter: int = 500,
     residual_tol: float = 1e-6,
-    inner_tol: float = 1e-11,
     q: float = 2.0,
 ) -> tuple[EigenPair, list[IterationState]]:
     """Inverse power iteration for the first nontrivial eigenpair (q = 2).
@@ -239,11 +237,11 @@ def inverse_iteration(
     ``residual_tol``.  Returns the eigenpair and the full iteration trace.
 
     The inner solves are inexact: step n solves to the relative dual-norm
-    gradient max(inner_tol, min(1e-3, 1e-3 * r)), with r the weak residual
-    of step n-1 in that same dual norm (1e-3 at the first step), so
-    ``inner_tol`` is the floor of this schedule.  The warm start of step n
-    starts at relative gradient r, so every inner solve above the floor
-    cuts its gradient 1000-fold.  The nodal weak residual of the stopping
+    gradient max(1e-11, min(1e-3, 1e-3 * r)), with r the weak residual of
+    step n-1 in that same dual norm (1e-3 at the first step), so 1e-11 is
+    the fixed floor of this schedule.  The warm start of step n starts at
+    relative gradient r, so every inner solve above the floor cuts its
+    gradient 1000-fold.  The nodal weak residual of the stopping
     test is not used here: on graded cusp meshes it can exceed r by orders
     of magnitude, the warm start then already meets the tolerance, and the
     iteration stands still.  Each step records its inner tolerance in the
@@ -269,7 +267,7 @@ def inverse_iteration(
         # Optimal rescaling of w makes the warm start feasible-monotone.
         theta = energy_prev ** (-1.0 / (p - 1.0)) if energy_prev > 0.0 else 1.0
         warm = ScalarField(mesh, theta * w)
-        step_tol = max(inner_tol, min(_INNER_TOL_CAP, _INNER_TOL_RATIO * resid_dual))
+        step_tol = max(_INNER_TOL_FLOOR, min(_INNER_TOL_CAP, _INNER_TOL_RATIO * resid_dual))
         z = solve_p_laplace_source(
             mesh, p, ScalarField(mesh, w), tol=step_tol, warm_start=warm
         )
@@ -325,7 +323,7 @@ def inverse_iteration(
         weak_residual=check_weak_residual(u, lam, p, 2.0),
         constraint_residual=abs(constraint_value(u, 2.0)),
         iterations=iteration,
-        diagnostics={"mu_final": mus[-1], "energy_final": energy_prev},
+        diagnostics={"mu_final": mus[-1]},
     )
     return pair, trace
 
@@ -468,20 +466,13 @@ def minimize_rayleigh(
     values = _sign_normalize(u)
     field_u = ScalarField(mesh, values)
     lam = rayleigh_quotient(field_u, p, q)
-    diagnostics: dict = {"history": history}
-    if eps > 0.0:
-        # Quotient recomputed with the smoothed weight at the final iterate.
-        g = assembly(mesh).gradients(values)
-        sq = np.einsum("ci,ci->c", g, g) + eps * eps
-        reg_energy = float(np.sum(assembly(mesh).volumes * sq ** (p / 2.0)))
-        diagnostics["lambda_regularized"] = reg_energy / lq_norm(field_u, q) ** p
     return EigenPair(
         lam=lam,
         u=field_u,
         weak_residual=check_weak_residual(field_u, lam, p, q),
         constraint_residual=abs(constraint_value(field_u, q)),
         iterations=iteration,
-        diagnostics=diagnostics,
+        diagnostics={"history": history},
     )
 
 

@@ -76,10 +76,6 @@ class CuspDomain:
     def volume(self) -> float:
         return 1.0 / self.gamma
 
-    @property
-    def is_reference(self) -> bool:
-        return all(g == 1.0 for g in self.gamma_exponents)
-
     def contains(self, x):
         """Strict membership test; accepts a point or an (m, n) batch."""
         pts = np.asarray(x, dtype=float)
@@ -195,15 +191,6 @@ class CuspMap:
         D[n - 1, n - 1] = a * t ** (a - 1.0)
         return D, a * t ** (a * self.domain.gamma - n)
 
-    def jacobian_det(self, x):
-        """Closed-form determinant a * x_n**(a gamma - n), vectorized."""
-        pts = np.atleast_2d(np.asarray(x, dtype=float))
-        t = pts[:, -1]
-        if np.any(t <= 0.0):
-            raise GeometryError("phi_a is singular at x_n <= 0")
-        out = self.a * t ** (self.a * self.domain.gamma - self.domain.n)
-        return float(out[0]) if np.asarray(x).ndim == 1 else out
-
 
 # Degree-2 quadrature rules in barycentric coordinates (positive weights).
 _TRI_BARY = np.array(
@@ -305,19 +292,19 @@ def _orient_and_check(nodes: np.ndarray, cells: np.ndarray) -> tuple[np.ndarray,
     return cells, vols
 
 
-def _graded_levels(resolution: int, tip: float, ratio: float) -> np.ndarray:
+def _graded_levels(resolution: int, tip: float) -> np.ndarray:
     """x_n levels from the tip cutoff to 1.
 
-    Spacings grow geometrically by `ratio` away from the tip and are capped
-    at 1/resolution, so cells shrink in proportion to their distance from
-    the tip while the bulk keeps uniform spacing.
+    Spacings grow geometrically by GRADING_RATIO away from the tip and are
+    capped at 1/resolution, so cells shrink in proportion to their distance
+    from the tip while the bulk keeps uniform spacing.
     """
     h_max = 1.0 / resolution
     levels = [tip]
-    h = min((ratio - 1.0) * tip, h_max)
+    h = min((GRADING_RATIO - 1.0) * tip, h_max)
     while levels[-1] + 1.5 * h < 1.0:
         levels.append(levels[-1] + h)
-        h = min(ratio * h, h_max)
+        h = min(GRADING_RATIO * h, h_max)
     levels.append(1.0)
     return np.asarray(levels)
 
@@ -371,7 +358,6 @@ def _collapsed_grid_mesh(
     a: float,
     resolution: int,
     tip: float,
-    grading: float,
 ) -> Mesh:
     """Grid on the unit box collapsed onto the (mapped) cone.
 
@@ -382,7 +368,7 @@ def _collapsed_grid_mesh(
     """
     n = len(exponents) + 1
     cross = np.linspace(0.0, 1.0, resolution + 1)
-    levels = _graded_levels(resolution, tip, grading)
+    levels = _graded_levels(resolution, tip)
     axes = [cross] * (n - 1) + [levels]
     shape = tuple(len(ax) for ax in axes)
     grids = np.meshgrid(*axes, indexing="ij")
@@ -403,34 +389,21 @@ def _check_resolution(resolution: int):
         )
 
 
-def mesh_reference(
-    n: int,
-    resolution: int,
-    tip_radius: float = TIP_RADIUS,
-    grading: float = GRADING_RATIO,
-) -> Mesh:
+def mesh_reference(n: int, resolution: int, tip_radius: float = TIP_RADIUS) -> Mesh:
     """Graded simplicial mesh of the reference cone in R^n (n = 2 or 3)."""
     if n not in (2, 3):
         raise GeometryError(f"only n = 2 or 3 supported, got {n}")
-    _check_resolution(resolution)
-    exps = tuple([1.0] * (n - 1))
-    return _collapsed_grid_mesh(exps, 1.0, resolution, tip_radius, grading)
+    return mesh_cusp(reference_domain(n), 1.0, resolution, tip_radius)
 
 
 def mesh_cusp(
-    domain: CuspDomain,
-    a: float,
-    resolution: int,
-    tip_radius: float = TIP_RADIUS,
-    grading: float = GRADING_RATIO,
+    domain: CuspDomain, a: float, resolution: int, tip_radius: float = TIP_RADIUS
 ) -> Mesh:
     """Mesh of the cusp domain: the reference mesh pushed through phi_a."""
     if not a > 0.0:
         raise GeometryError(f"mapping exponent must be positive, got a={a}")
     _check_resolution(resolution)
-    return _collapsed_grid_mesh(
-        domain.gamma_exponents, a, resolution, tip_radius, grading
-    )
+    return _collapsed_grid_mesh(domain.gamma_exponents, a, resolution, tip_radius)
 
 
 def mesh_box(box: BoxDomain, resolution: int) -> Mesh:

@@ -38,24 +38,19 @@ class OracleResult:
 
     lambda_oracle: float
     method: str
-    mesh_info: dict
-    discrepancy: float | None = None
 
 
-def oracle_linear_eigen(
-    mesh: Mesh, tol: float = 1e-13, max_iter: int = 500, block: int = 3
-) -> OracleResult:
+def oracle_linear_eigen(mesh: Mesh) -> OracleResult:
     """Linear p = q = 2 oracle: shift-invert Lanczos on (K, M).
 
     ARPACK's mode 3 with shift 0 iterates K^+ M on the zero-mean subspace,
     applying K^+ through the grounded Neumann factorization; the solve
-    sends constants to 0, so the zero eigenvalue never appears.  ``tol`` is
-    ARPACK's Ritz tolerance, ``max_iter`` its restart limit and ``block``
-    the number of eigenvalues it converges, which separates
-    (near-)degenerate first eigenspaces, e.g. the double mode of the unit
-    square split at O(h^2) by the mesh diagonal.  Starts from the zero-mean
-    x_n; raises ``ArpackNoConvergence`` rather than return an unconverged
-    value.
+    sends constants to 0, so the zero eigenvalue never appears.  It
+    converges three Ritz values to the tolerance 1e-13 within 500
+    restarts; three, not one, separate (near-)degenerate first
+    eigenspaces, e.g. the double mode of the unit square split at O(h^2)
+    by the mesh diagonal.  Starts from the zero-mean x_n; raises
+    ``ArpackNoConvergence`` rather than return an unconverged value.
     """
     if mesh.num_nodes > ORACLE_NODE_LIMIT:
         raise ValueError(
@@ -65,23 +60,19 @@ def oracle_linear_eigen(
     shape = (mesh.num_nodes, mesh.num_nodes)
     vals = spla.eigsh(
         asm.stiffness,
-        k=block,
+        k=3,
         M=asm.mass,
         sigma=0.0,
         OPinv=spla.LinearOperator(shape, matvec=asm.solve_neumann, dtype=float),
         v0=asm.zero_mean(mesh.nodes[:, -1]),
-        tol=tol,
-        maxiter=max_iter,
+        tol=1e-13,
+        maxiter=500,
         return_eigenvectors=False,
     )
     lam = float(np.min(vals))
     if not lam > 0.0:
         raise RuntimeError("linear eigensolve failed to produce a positive value")
-    return OracleResult(
-        lambda_oracle=lam,
-        method="shift-invert-lanczos",
-        mesh_info={"nodes": mesh.num_nodes, "cells": mesh.num_cells, "dim": mesh.n},
-    )
+    return OracleResult(lambda_oracle=lam, method="shift-invert-lanczos")
 
 
 def check_m_rq(a: float, cfg: ExponentConfig, domain: CuspDomain, mesh: Mesh) -> dict:
@@ -221,17 +212,14 @@ def consistency_report(
     q: float,
     resolution: int,
     method: str = "minimize",
-    slack: float = 0.05,
-    solver_tol: float = 1e-4,
-    multistart_seeds: int = 3,
 ) -> dict:
     """Computed eigenvalue versus the closed-form lower bound.
 
-    The continuum bound must sit below the discrete eigenvalue (up to the
-    discretization slack); the gap factor is recorded, not asserted tight.
-    When both routes are requested and disagree by more than 1 percent, the
-    minimization is restarted from deterministic random seeds and the best
-    value is kept.
+    The continuum bound must sit below the discrete eigenvalue, solved to
+    weak residual 1e-4, up to a 5 percent discretization slack; the gap
+    factor is recorded, not asserted tight.  When both routes are
+    requested, the smaller eigenvalue is compared, and a disagreement of
+    more than 1 percent between the routes fails the report.
     """
     mesh = mesh_cusp(domain, 1.0, resolution)
     report: dict = {
@@ -241,26 +229,19 @@ def consistency_report(
         "resolution": resolution,
         "method": method,
     }
+    tol = 1e-4  # weak-residual tolerance of either route
+    routes_agree = True
     if method == "both":
-        pair_a, _ = solve_eigenpair(mesh, p, q, "minimize", solver_tol)
-        pair_b, _ = solve_eigenpair(mesh, p, q, "iterate", solver_tol)
+        pair_a, _ = solve_eigenpair(mesh, p, q, "minimize", tol)
+        pair_b, _ = solve_eigenpair(mesh, p, q, "iterate", tol)
         lam = min(pair_a.lam, pair_b.lam)
         disagreement = abs(pair_a.lam - pair_b.lam) / lam
         report["lambda_minimize"] = pair_a.lam
         report["lambda_iterate"] = pair_b.lam
         report["route_disagreement"] = disagreement
-        if disagreement > 0.01:
-            rng_lams = []
-            for seed in range(multistart_seeds):
-                rng = np.random.default_rng(seed)
-                start = ScalarField(mesh, rng.uniform(-1.0, 1.0, mesh.num_nodes))
-                rng_lams.append(
-                    minimize_rayleigh(mesh, p, q, u0=start, tol=solver_tol).lam
-                )
-            report["multistart_lambdas"] = rng_lams
-            lam = min(lam, min(rng_lams))
+        routes_agree = disagreement <= 0.01
     else:
-        lam = solve_eigenpair(mesh, p, q, method, solver_tol)[0].lam
+        lam = solve_eigenpair(mesh, p, q, method, tol)[0].lam
     report["lambda_numeric"] = lam
 
     n, gamma = domain.n, domain.gamma
@@ -275,7 +256,7 @@ def consistency_report(
         )
     report["lambda_lower"] = bound
     report["gap_factor"] = lam / bound
-    report["passed"] = lam >= bound * (1.0 - slack)
+    report["passed"] = routes_agree and lam >= 0.95 * bound
     return report
 
 
@@ -290,8 +271,9 @@ def sample_reference_cone(n: int, count: int, seed: int = 0) -> np.ndarray:
     return pts
 
 
-def jacobian_fd_stats(mapping: CuspMap, points: int = 1000, seed: int = 0, h: float = 1e-6) -> dict:
+def jacobian_fd_stats(mapping: CuspMap, points: int = 1000, seed: int = 0) -> dict:
     """Closed-form Jacobian determinant versus central finite differences."""
+    h = 1e-6  # central-difference step
     pts = sample_reference_cone(mapping.domain.n, points, seed=seed)
     worst = 0.0
     n = mapping.domain.n
@@ -433,13 +415,13 @@ def run_verify_suite(fast: bool = False, seed: int = 0) -> list[dict]:
     box = mesh_box(BoxDomain((1.0, 1.0)), 32 if fast else 64)
     oracle = oracle_linear_eigen(box)
     pair = minimize_rayleigh(box, 2.0, 2.0, tol=1e-8)
-    oracle.discrepancy = abs(pair.lam - oracle.lambda_oracle) / oracle.lambda_oracle
+    rel_gap = abs(pair.lam - oracle.lambda_oracle) / oracle.lambda_oracle
     record(
         "oracle_agreement",
-        oracle.discrepancy <= 1e-6,
+        rel_gap <= 1e-6,
         lambda_solver=pair.lam,
         lambda_oracle=oracle.lambda_oracle,
-        rel_gap=oracle.discrepancy,
+        rel_gap=rel_gap,
     )
 
     cons = consistency_report(

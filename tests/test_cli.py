@@ -114,6 +114,16 @@ class TestSolveCommand:
         assert doc["config"]["resolution"] == 8
         assert doc["config"]["p"] == 2.0
 
+    def test_config_file_key_checks(self, tmp_path, capsys):
+        conf = tmp_path / "run.conf"
+        conf.write_text("resolution = 4\nmethd = iterate\n")
+        args = ["--config", conf, "solve", "--tol", 1e-4, "--json", tmp_path / "s.json"]
+        assert run_cli(args) == 2
+        assert "methd" in capsys.readouterr().err
+        # Keys of other subcommands are accepted, so one file serves all.
+        conf.write_text("resolution = 4\nworkers = 1\nfast = yes\nuse_12pi = no\n")
+        assert run_cli(args) == 0
+
 
 def test_verify_fast_exit_zero(tmp_path, capsys):
     out = tmp_path / "verify.json"

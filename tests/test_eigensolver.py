@@ -47,7 +47,6 @@ class TestPLaplaceSource:
     def test_subquadratic_growth_regularized_path(self, square16, rng):
         f = zero_mean_field(square16, rng.uniform(-1.0, 1.0, square16.num_nodes))
         v = ce.solve_p_laplace_source(square16, 1.8, f, tol=1e-9)
-        residual = ce.check_weak_residual  # noqa: F841  (solution checked below)
         defect = p_form_apply(v, 1.8) - assembly(square16).mass @ f.values
         defect -= assembly(square16).mass_vector * defect.sum() / square16.volume
         assert np.linalg.norm(defect) <= 1e-6

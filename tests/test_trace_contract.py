@@ -1,0 +1,49 @@
+"""The names that perfbench/tracer.py patches must stay patchable.
+
+The tracer wraps cuspeig functions and ``EnergyAssembly`` methods by name,
+and swaps in its wrapper for every module attribute that is the same object
+as the traced function.  A renamed function, or a module that defines its
+own copy instead of importing one, silently drops a layer from the trace.
+These checks catch that in tier-1, not only under ``pytest perfbench``.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+import cuspeig
+from cuspeig import bounds, cli, discretization, eigensolver, geometry, verification
+
+TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+MODULES = [cuspeig, bounds, cli, discretization, eigensolver, geometry, verification]
+
+
+@pytest.fixture(scope="module")
+def tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_functions_exist(tracer):
+    for home, name, _span in tracer.FUNCTION_SPANS:
+        assert callable(vars(home).get(name)), f"{home.__name__}.{name} is gone"
+
+
+def test_traced_methods_exist(tracer):
+    for name, _span in tracer.METHOD_SPANS:
+        assert callable(vars(discretization.EnergyAssembly).get(name)), name
+
+
+def test_importers_hold_the_traced_objects(tracer):
+    for home, name, _span in tracer.FUNCTION_SPANS:
+        original = vars(home)[name]
+        for module in MODULES:
+            if name in vars(module):
+                assert vars(module)[name] is original, f"{module.__name__}.{name}"
+    # The by-name imports the tracer exists to follow: without them the
+    # check above would pass vacuously.
+    assert "p_form_apply" in vars(eigensolver)
+    assert "project_zero_mean" in vars(verification)

@@ -1,10 +1,12 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
 import cuspeig as ce
+from cuspeig import verification
 from cuspeig.discretization import EnergyAssembly, assembly
 from cuspeig.verification import (
     algebraic_inequality_stats,
@@ -163,6 +165,23 @@ class TestConsistencyReport:
         assert report["route_disagreement"] <= 0.01
         # 2-D bounds go through the formula extension, flagged as such.
         assert report["bound_source"] == "optimized-composite-n2-extension"
+
+    def test_route_disagreement_fails(self, monkeypatch):
+        # Routes 5 percent apart: the report must fail even though the
+        # smaller eigenvalue sits far above the lower bound.
+        lams = {"minimize": 1.0, "iterate": 1.05}
+        monkeypatch.setattr(
+            verification,
+            "solve_eigenpair",
+            lambda mesh, p, q, method, tol: (SimpleNamespace(lam=lams[method]), []),
+        )
+        report = ce.consistency_report(
+            ce.CuspDomain((2.0,)), 2.0, 2.0, resolution=4, method="both"
+        )
+        assert report["route_disagreement"] == pytest.approx(0.05)
+        assert report["lambda_numeric"] == 1.0
+        assert report["lambda_lower"] < 0.95
+        assert report["passed"] is False
 
 
 def test_jacobian_fd_harness():
