@@ -1,5 +1,10 @@
 """Batch front-end: bound evaluation, eigensolves, verification, sweeps.
 
+The argparse parser is the one definition of the options: each flag's
+type, default and choices live in its add_argument call, and each
+subcommand's runner reads the parsed namespace.  A --config file supplies
+defaults for the chosen subcommand, converted and checked like its flags.
+
 Outputs are deterministic given the configuration and seed: JSON summaries
 carry no timestamps and are serialized with sorted keys, CSV columns are
 fixed per schema version (see schemas/ in the repository root).
@@ -33,8 +38,8 @@ EXIT_NUMERICAL = 1
 EXIT_CONFIG = 2
 
 
-def _parse_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in str(text).split(",") if tok.strip())
+def _float_list(text: str) -> tuple[float, ...]:
+    return tuple(float(tok) for tok in text.split(",") if tok.strip())
 
 
 def _load_config_file(path: str) -> dict:
@@ -49,6 +54,44 @@ def _load_config_file(path: str) -> dict:
         key, val = (part.strip() for part in line.split("=", 1))
         values[key.replace("-", "_")] = val
     return values
+
+
+def _config_value(action: argparse.Action, key: str, raw: str):
+    """A config-file value converted and checked like its flag's argument."""
+    if action.nargs == 0:  # store_true flags
+        word = raw.lower()
+        if word not in ("1", "true", "yes", "0", "false", "no"):
+            raise ValueError(f"config key {key}: expected yes or no, got {raw!r}")
+        return word in ("1", "true", "yes")
+    try:
+        value = action.type(raw) if action.type else raw
+    except ValueError:
+        raise ValueError(f"config key {key}: invalid value {raw!r}") from None
+    if action.choices and value not in action.choices:
+        raise ValueError(
+            f"config key {key}: invalid choice {raw!r} (choose from {', '.join(action.choices)})"
+        )
+    return value
+
+
+def _config_defaults(commands: dict, command: str, path: str) -> dict:
+    """Config-file values that become defaults of one subcommand's flags.
+
+    A key may belong to any subcommand, so one file can serve several;
+    every key is checked against its flag, and a key that no subcommand
+    defines is rejected.
+    """
+    def flags(name):
+        return {a.dest: a for a in commands[name]._actions if a.dest != "help"}
+
+    own = flags(command)
+    actions = {dest: a for name in commands for dest, a in flags(name).items()} | own
+    values = _load_config_file(path)
+    unknown = sorted(set(values) - set(actions))
+    if unknown:
+        raise ValueError(f"unknown config key(s) {', '.join(unknown)} in {path}")
+    checked = {key: _config_value(actions[key], key, raw) for key, raw in values.items()}
+    return {key: val for key, val in checked.items() if key in own}
 
 
 def _write_json(path: str | None, payload: dict) -> None:
@@ -67,199 +110,52 @@ def _write_csv(path: str, header: list[str], rows) -> None:
             writer.writerow(row)
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="cuspeig",
-        description="Neumann (p,q)-eigenvalues on power-law cusp domains",
-    )
-    parser.add_argument("--config", help="key = value configuration file")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    bound = sub.add_parser("bound", help="evaluate the closed-form lower bound")
-    bound.add_argument("--n", type=int)
-    bound.add_argument("--p", type=float)
-    bound.add_argument("--q", type=float)
-    bound.add_argument("--s", type=float)
-    bound.add_argument("--r", type=float)
-    bound.add_argument("--gammas", help="comma-separated profile exponents")
-    bound.add_argument("--pin-a", type=float, dest="pin_a",
-                       help="evaluate at this mapping exponent instead of optimizing")
-    bound.add_argument("--use-12pi", action="store_true", dest="use_12pi",
-                       help="replace the Poincare estimate by the rounded constant 12*pi")
-    bound.add_argument("--unsafe-n2", action="store_true", dest="unsafe_n2",
-                       help="allow the 2-D evaluation of the composite bound")
-    bound.add_argument("--json", dest="json_path")
-    bound.add_argument("--csv", dest="csv_path", help="write (a, objective) samples")
-
-    solve = sub.add_parser("solve", help="compute the first nontrivial eigenpair")
-    solve.add_argument("--domain", choices=("cusp", "box"))
-    solve.add_argument("--gammas", help="cusp profile exponents")
-    solve.add_argument("--sides", help="box side lengths")
-    solve.add_argument("--a", type=float, help="mesh grading exponent for cusp domains")
-    solve.add_argument("--p", type=float)
-    solve.add_argument("--q", type=float)
-    solve.add_argument("--resolution", type=int)
-    solve.add_argument("--method", choices=("minimize", "iterate"))
-    solve.add_argument("--tol", type=float)
-    solve.add_argument("--json", dest="json_path")
-    solve.add_argument("--csv", dest="csv_path", help="write the iteration trace")
-    solve.add_argument("--dump-mesh", dest="dump_mesh", help="write the mesh as plain text")
-
-    verify = sub.add_parser("verify", help="run the cross-check suite")
-    verify.add_argument("--fast", action="store_true")
-    verify.add_argument("--seed", type=int)
-    verify.add_argument("--json", dest="json_path")
-
-    sweep = sub.add_parser("sweep", help="Cartesian parameter sweep")
-    sweep.add_argument("--n", type=int)
-    sweep.add_argument("--q", type=float)
-    sweep.add_argument("--gamma-grid", dest="gamma_grid",
-                       help="comma-separated isotropic profile exponents")
-    sweep.add_argument("--p-grid", dest="p_grid")
-    sweep.add_argument("--resolution-grid", dest="resolution_grid")
-    sweep.add_argument("--method", choices=("minimize", "iterate"))
-    sweep.add_argument("--tol", type=float)
-    sweep.add_argument("--workers", type=int)
-    sweep.add_argument("--csv", dest="csv_path", required=True)
-    return parser
-
-
-_DEFAULTS = {
-    "bound": {"n": 3, "p": 3.0, "q": 2.0, "gammas": "1.5,1.5"},
-    "solve": {
-        "domain": "cusp",
-        "gammas": "2",
-        "sides": "1,1",
-        "a": 1.0,
-        "p": 2.0,
-        "q": 2.0,
-        "resolution": 16,
-        "method": "minimize",
-        "tol": 1e-6,
-    },
-    "verify": {"seed": 0},
-    "sweep": {
-        "n": 2,
-        "q": 2.0,
-        "gamma_grid": "1,2",
-        "p_grid": "2",
-        "resolution_grid": "8",
-        "method": "minimize",
-        "tol": 1e-4,
-        "workers": 1,
-    },
-}
-
-_TYPES = {
-    "n": int,
-    "p": float,
-    "q": float,
-    "s": float,
-    "r": float,
-    "a": float,
-    "pin_a": float,
-    "tol": float,
-    "resolution": int,
-    "seed": int,
-    "workers": int,
-    "use_12pi": lambda v: str(v).lower() in ("1", "true", "yes"),
-    "unsafe_n2": lambda v: str(v).lower() in ("1", "true", "yes"),
-    "fast": lambda v: str(v).lower() in ("1", "true", "yes"),
-}
-
-
-def _flag_keys(parser: argparse.ArgumentParser) -> set[str]:
-    """Option names that the flags of some subcommand define."""
-    (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return {
-        action.dest
-        for sub in commands.choices.values()
-        for action in sub._actions
-        if action.dest != "help"
-    }
-
-
-def _merge_config(args: argparse.Namespace, flag_keys: set[str]) -> dict:
-    """Options for one subcommand run: defaults < config file < flags.
-
-    A config key may belong to any subcommand, so one file can serve
-    several; a key that no subcommand defines is rejected.
-    """
-    merged = dict(_DEFAULTS.get(args.command, {}))
-    if args.config:
-        file_values = _load_config_file(args.config)
-        unknown = sorted(set(file_values) - flag_keys)
-        if unknown:
-            raise ValueError(f"unknown config key(s) {', '.join(unknown)} in {args.config}")
-        for key, raw in file_values.items():
-            merged[key] = _TYPES[key](raw) if key in _TYPES else raw
-    for key, val in vars(args).items():
-        if key in ("config", "command") or val is None:
-            continue
-        if val is False and key in ("use_12pi", "unsafe_n2", "fast"):
-            continue  # absent store_true flags must not mask config values
-        merged[key] = val
-    return merged
-
-
-def _run_bound(options: dict) -> int:
-    n = int(options.get("n"))
-    p = float(options.get("p"))
-    q = float(options.get("q"))
-    gammas = _parse_floats(options.get("gammas"))
-    use_12pi = bool(options.get("use_12pi", False))
-    pin_a = options.get("pin_a")
-    unsafe_n2 = bool(options.get("unsafe_n2", False))
+def _run_bound(args: argparse.Namespace) -> int:
+    n, gammas = args.n, args.gammas
     if len(gammas) != n - 1:
         raise BoundConfigError(
             f"expected {n - 1} profile exponents for n={n}, got {gammas}"
         )
     domain = CuspDomain(gammas)
-    if n == 2 and not unsafe_n2:
+    if n == 2 and not args.unsafe_n2:
         raise BoundConfigError(
             "composite bound is stated for n >= 3; pass --unsafe-n2 to evaluate anyway"
         )
     report, s, r = lower_bound_report(
-        domain, p, q, s=options.get("s"), r=options.get("r"),
-        b_constant=TWELVE_PI if use_12pi else None, fixed_a=pin_a,
-        allow_n2=unsafe_n2,
+        domain, args.p, args.q, s=args.s, r=args.r,
+        b_constant=TWELVE_PI if args.use_12pi else None, fixed_a=args.pin_a,
+        allow_n2=args.unsafe_n2,
     )
     echo = {
-        "n": n, "p": p, "q": q, "s": s, "r": r, "gammas": list(gammas),
-        "use_12pi": use_12pi, "pin_a": pin_a,
+        "n": n, "p": args.p, "q": args.q, "s": s, "r": r, "gammas": list(gammas),
+        "use_12pi": args.use_12pi, "pin_a": args.pin_a,
     }
     payload = {
         "schema": f"bound_report/{SCHEMA_VERSION}",
         "config": echo,
         "report": report.as_dict(),
     }
-    _write_json(options.get("json_path"), payload)
-    if options.get("csv_path"):
+    _write_json(args.json_path, payload)
+    if args.csv_path:
         _write_csv(
-            options.get("csv_path"), ["a", "objective"],
+            args.csv_path, ["a", "objective"],
             [(a, obj) for a, obj in report.evaluations],
         )
     return EXIT_OK
 
 
-def _run_solve(options: dict) -> int:
-    p = float(options.get("p"))
-    q = float(options.get("q"))
-    resolution = int(options.get("resolution"))
-    method = options.get("method")
-    tol = float(options.get("tol"))
-    if options.get("domain") == "box":
-        domain_info = {"type": "box", "sides": list(_parse_floats(options.get("sides")))}
-        mesh = mesh_box(BoxDomain(_parse_floats(options.get("sides"))), resolution)
+def _run_solve(args: argparse.Namespace) -> int:
+    if args.domain == "box":
+        domain_info = {"type": "box", "sides": list(args.sides)}
+        mesh = mesh_box(BoxDomain(args.sides), args.resolution)
     else:
-        gammas = _parse_floats(options.get("gammas"))
-        domain_info = {"type": "cusp", "gammas": list(gammas), "a": float(options.get("a"))}
-        mesh = mesh_cusp(CuspDomain(gammas), float(options.get("a")), resolution)
-    if options.get("dump_mesh"):
-        write_mesh_text(mesh, options.get("dump_mesh"))
+        domain_info = {"type": "cusp", "gammas": list(args.gammas), "a": args.a}
+        mesh = mesh_cusp(CuspDomain(args.gammas), args.a, args.resolution)
+    if args.dump_mesh:
+        write_mesh_text(mesh, args.dump_mesh)
 
-    pair, trace = solve_eigenpair(mesh, p, q, method, tol)
-    if method == "iterate":
+    pair, trace = solve_eigenpair(mesh, args.p, args.q, args.method, args.tol)
+    if args.method == "iterate":
         trace_rows = [
             (i, state.mu, state.energy, state.constraint_residual)
             for i, state in enumerate(trace)
@@ -272,8 +168,8 @@ def _run_solve(options: dict) -> int:
     payload = {
         "schema": f"eigenpair/{SCHEMA_VERSION}",
         "config": {
-            "domain": domain_info, "p": p, "q": q,
-            "resolution": resolution, "method": method, "tol": tol,
+            "domain": domain_info, "p": args.p, "q": args.q,
+            "resolution": args.resolution, "method": args.method, "tol": args.tol,
         },
         "result": {
             "lambda": pair.lam,
@@ -284,27 +180,25 @@ def _run_solve(options: dict) -> int:
             "cells": mesh.num_cells,
         },
     }
-    _write_json(options.get("json_path"), payload)
-    if options.get("csv_path"):
+    _write_json(args.json_path, payload)
+    if args.csv_path:
         _write_csv(
-            options.get("csv_path"),
+            args.csv_path,
             ["n", "mu_n", "energy_n", "constraint_residual"],
             trace_rows,
         )
     return EXIT_OK
 
 
-def _run_verify(options: dict) -> int:
-    checks = run_verify_suite(
-        fast=bool(options.get("fast", False)), seed=int(options.get("seed", 0))
-    )
+def _run_verify(args: argparse.Namespace) -> int:
+    checks = run_verify_suite(fast=args.fast, seed=args.seed)
     passed = all(check["passed"] for check in checks)
     payload = {
         "schema": f"verify_report/{SCHEMA_VERSION}",
         "passed": passed,
         "checks": checks,
     }
-    _write_json(options.get("json_path"), payload)
+    _write_json(args.json_path, payload)
     for check in checks:
         status = "PASS" if check["passed"] else "FAIL"
         sys.stderr.write(f"[{status}] {check['name']}\n")
@@ -319,49 +213,103 @@ def _sweep_cell(task: tuple) -> tuple:
     return (sigma, p, resolution, pair.lam, pair.weak_residual, pair.iterations)
 
 
-def _run_sweep(options: dict) -> int:
-    n = int(options.get("n"))
-    q = float(options.get("q"))
-    method = options.get("method")
-    tol = float(options.get("tol"))
+def _run_sweep(args: argparse.Namespace) -> int:
     tasks = [
-        (n, q, sigma, p, int(res), method, tol)
-        for sigma in _parse_floats(options.get("gamma_grid"))
-        for p in _parse_floats(options.get("p_grid"))
-        for res in _parse_floats(options.get("resolution_grid"))
+        (args.n, args.q, sigma, p, int(res), args.method, args.tol)
+        for sigma in args.gamma_grid
+        for p in args.p_grid
+        for res in args.resolution_grid
     ]
-    workers = int(options.get("workers", 1))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+    if args.workers > 1:
+        with ProcessPoolExecutor(max_workers=args.workers) as pool:
             rows = list(pool.map(_sweep_cell, tasks))
     else:
         rows = [_sweep_cell(task) for task in tasks]
     _write_csv(
-        options.get("csv_path"),
+        args.csv_path,
         ["gamma_i", "p", "resolution", "lambda", "weak_residual", "iterations"],
         rows,
     )
     return EXIT_OK
 
 
-_RUNNERS = {
-    "bound": _run_bound,
-    "solve": _run_solve,
-    "verify": _run_verify,
-    "sweep": _run_sweep,
-}
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The top-level parser and its subcommand parsers by name."""
+    parser = argparse.ArgumentParser(
+        prog="cuspeig",
+        description="Neumann (p,q)-eigenvalues on power-law cusp domains",
+    )
+    parser.add_argument("--config", help="key = value configuration file")
+    sub = parser.add_subparsers(dest="command", required=True)
 
+    bound = sub.add_parser("bound", help="evaluate the closed-form lower bound")
+    bound.set_defaults(run=_run_bound)
+    bound.add_argument("--n", type=int, default=3)
+    bound.add_argument("--p", type=float, default=3.0)
+    bound.add_argument("--q", type=float, default=2.0)
+    bound.add_argument("--s", type=float)
+    bound.add_argument("--r", type=float)
+    bound.add_argument("--gammas", type=_float_list, default="1.5,1.5",
+                       help="comma-separated profile exponents")
+    bound.add_argument("--pin-a", type=float, dest="pin_a",
+                       help="evaluate at this mapping exponent instead of optimizing")
+    bound.add_argument("--use-12pi", action="store_true", dest="use_12pi",
+                       help="replace the Poincare estimate by the rounded constant 12*pi")
+    bound.add_argument("--unsafe-n2", action="store_true", dest="unsafe_n2",
+                       help="allow the 2-D evaluation of the composite bound")
+    bound.add_argument("--json", dest="json_path")
+    bound.add_argument("--csv", dest="csv_path", help="write (a, objective) samples")
 
-def run(command: str, options: dict) -> int:
-    """Run a subcommand on merged options; exit code semantics as `main`."""
-    return _RUNNERS[command](options)
+    solve = sub.add_parser("solve", help="compute the first nontrivial eigenpair")
+    solve.set_defaults(run=_run_solve)
+    solve.add_argument("--domain", choices=("cusp", "box"), default="cusp")
+    solve.add_argument("--gammas", type=_float_list, default="2",
+                       help="cusp profile exponents")
+    solve.add_argument("--sides", type=_float_list, default="1,1", help="box side lengths")
+    solve.add_argument("--a", type=float, default=1.0,
+                       help="mesh grading exponent for cusp domains")
+    solve.add_argument("--p", type=float, default=2.0)
+    solve.add_argument("--q", type=float, default=2.0)
+    solve.add_argument("--resolution", type=int, default=16)
+    solve.add_argument("--method", choices=("minimize", "iterate"), default="minimize")
+    solve.add_argument("--tol", type=float, default=1e-6)
+    solve.add_argument("--json", dest="json_path")
+    solve.add_argument("--csv", dest="csv_path", help="write the iteration trace")
+    solve.add_argument("--dump-mesh", dest="dump_mesh", help="write the mesh as plain text")
+
+    verify = sub.add_parser("verify", help="run the cross-check suite")
+    verify.set_defaults(run=_run_verify)
+    verify.add_argument("--fast", action="store_true")
+    verify.add_argument("--seed", type=int, default=0)
+    verify.add_argument("--json", dest="json_path")
+
+    sweep = sub.add_parser("sweep", help="Cartesian parameter sweep")
+    sweep.set_defaults(run=_run_sweep)
+    sweep.add_argument("--n", type=int, default=2)
+    sweep.add_argument("--q", type=float, default=2.0)
+    sweep.add_argument("--gamma-grid", dest="gamma_grid", type=_float_list, default="1,2",
+                       help="comma-separated isotropic profile exponents")
+    sweep.add_argument("--p-grid", dest="p_grid", type=_float_list, default="2")
+    sweep.add_argument("--resolution-grid", dest="resolution_grid", type=_float_list,
+                       default="8")
+    sweep.add_argument("--method", choices=("minimize", "iterate"), default="minimize")
+    sweep.add_argument("--tol", type=float, default=1e-4)
+    sweep.add_argument("--workers", type=int, default=1)
+    sweep.add_argument("--csv", dest="csv_path", required=True)
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return run(args.command, _merge_config(args, _flag_keys(parser)))
+        if args.config:
+            # Config values become flag defaults, so explicit flags still win.
+            commands[args.command].set_defaults(
+                **_config_defaults(commands, args.command, args.config)
+            )
+            args = parser.parse_args(argv)
+        return args.run(args)
     except (BoundConfigError, GeometryError, ValueError) as exc:
         sys.stderr.write(f"configuration error: {exc}\n")
         return EXIT_CONFIG

@@ -246,9 +246,12 @@ def project_zero_mean(u: ScalarField, q: float = 2.0) -> ScalarField:
     """Shift u by the unique constant making int |u-c|^(q-2)(u-c) vanish.
 
     The shift functional is continuous and strictly decreasing in c, so the
-    root is unique and bracketed by [min u, max u].  Brent's method finds it
-    to 1e-12 of the bracket in about a dozen evaluations of the quadrature
-    sum.  For q = 2 the root is the volume-weighted mean.
+    root is unique and bracketed by [min u, max u]: quadrature values are
+    convex combinations of nodal values, so the functional is positive at
+    min u and negative at max u for every nonconstant u.  Brent's method
+    finds the root to 1e-12 of the bracket in about ten evaluations of the
+    quadrature sum, both bracket ends included.  For q = 2 the root is the
+    volume-weighted mean.
     """
     if not q > 1.0:
         raise ValueError(f"requires q > 1, got q={q}")
@@ -262,11 +265,6 @@ def project_zero_mean(u: ScalarField, q: float = 2.0) -> ScalarField:
     # wrapper is self-referential, so a closure over the quadrature values
     # would keep them alive until the cyclic collector runs.
     args = (asm.quad_values(u.values), asm.quad_w, q)
-    flo = _constraint_of_shift(lo, *args)
-    fhi = _constraint_of_shift(hi, *args)
-    # brentq checks only that the signs differ, not their order.
-    if flo < 0.0 or fhi > 0.0:  # strict monotonicity makes this unreachable
-        raise ValueError("constraint function failed to bracket a root")
     c = brentq(
         _constraint_of_shift, lo, hi, args=args, xtol=1e-12 * (hi - lo), maxiter=200
     )

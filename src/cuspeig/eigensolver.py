@@ -258,7 +258,6 @@ def inverse_iteration(
     w /= norm
 
     trace: list[IterationState] = []
-    mus: list[float] = []
     energy_prev = grad_norm_p(ScalarField(mesh, w), p)
     resid = math.inf
     resid_dual = math.inf
@@ -291,7 +290,6 @@ def inverse_iteration(
         lhs, rhs = _weak_forms(field_w, energy_prev, p, 2.0)
         resid = _weak_residual(asm, lhs, rhs)
         resid_dual = asm.dual_norm(lhs - rhs) / asm.dual_norm(rhs)
-        mus.append(mu)
         trace.append(
             IterationState(
                 w=field_w,
@@ -301,8 +299,8 @@ def inverse_iteration(
                 inner_tol=step_tol,
             )
         )
-        if len(mus) >= 3:
-            recent = mus[-3:]
+        if len(trace) >= 3:
+            recent = [state.mu for state in trace[-3:]]
             drift = max(
                 abs(recent[i + 1] - recent[i]) for i in range(len(recent) - 1)
             )
@@ -323,7 +321,7 @@ def inverse_iteration(
         weak_residual=check_weak_residual(u, lam, p, 2.0),
         constraint_residual=abs(constraint_value(u, 2.0)),
         iterations=iteration,
-        diagnostics={"mu_final": mus[-1]},
+        diagnostics={"mu_final": trace[-1].mu},
     )
     return pair, trace
 

@@ -128,14 +128,6 @@ class BoxDomain:
     def volume(self) -> float:
         return math.prod(self.sides)
 
-    def contains(self, x):
-        pts = np.atleast_2d(np.asarray(x, dtype=float))
-        single = np.asarray(x).ndim == 1
-        ok = np.ones(pts.shape[0], dtype=bool)
-        for i, s in enumerate(self.sides):
-            ok &= (pts[:, i] > 0.0) & (pts[:, i] < s)
-        return bool(ok[0]) if single else ok
-
 
 @dataclass(frozen=True)
 class CuspMap:

@@ -1,15 +1,26 @@
 import json
 import math
+from pathlib import Path
 
-import numpy as np
+import jsonschema
 import pytest
 
 import cuspeig as ce
 from cuspeig import cli
 
+SCHEMAS = Path(__file__).resolve().parents[1] / "schemas"
+
 
 def run_cli(args):
     return cli.main([str(a) for a in args])
+
+
+def load_checked(path, schema_name):
+    """The JSON document at path, validated against schemas/<schema_name>."""
+    doc = json.loads(path.read_text())
+    schema = json.loads((SCHEMAS / f"{schema_name}.schema.json").read_text())
+    jsonschema.validate(doc, schema)
+    return doc
 
 
 class TestBoundCommand:
@@ -32,7 +43,7 @@ class TestBoundCommand:
              "--gammas", "1.5,1.5", "--json", out, "--csv", csv_path]
         )
         assert code == 0
-        doc = json.loads(out.read_text())
+        doc = load_checked(out, "bound_report")
         lo, hi = doc["report"]["interval"]
         assert lo < doc["report"]["a_star"] < hi
         lines = csv_path.read_text().splitlines()
@@ -81,7 +92,7 @@ class TestSolveCommand:
              "--json", out, "--dump-mesh", mesh_path]
         )
         assert code == 0
-        doc = json.loads(out.read_text())
+        doc = load_checked(out, "eigenpair")
         assert doc["result"]["lambda"] == pytest.approx(math.pi**2, rel=0.02)
         mesh = ce.read_mesh_text(mesh_path)
         assert mesh.volume == pytest.approx(1.0, rel=1e-12)
@@ -95,6 +106,7 @@ class TestSolveCommand:
              "--json", out, "--csv", trace_path]
         )
         assert code == 0
+        load_checked(out, "eigenpair")
         lines = trace_path.read_text().splitlines()
         assert lines[0] == "n,mu_n,energy_n,constraint_residual"
         mus = [float(line.split(",")[1]) for line in lines[1:]]
@@ -123,13 +135,25 @@ class TestSolveCommand:
         # Keys of other subcommands are accepted, so one file serves all.
         conf.write_text("resolution = 4\nworkers = 1\nfast = yes\nuse_12pi = no\n")
         assert run_cli(args) == 0
+        capsys.readouterr()
+        # File values are checked like the flags they stand for.
+        out = tmp_path / "v.json"
+        for command, key, value in (
+            (["solve", "--resolution", 4, "--tol", 1e-4], "domain", "square"),
+            (["solve", "--resolution", 4, "--tol", 1e-4], "method", "iterat"),
+            (["verify", "--fast"], "fast", "maybe"),
+        ):
+            conf.write_text(f"{key} = {value}\n")
+            assert run_cli(["--config", conf] + command + ["--json", out]) == 2
+            assert key in capsys.readouterr().err
+            assert not out.exists()
 
 
 def test_verify_fast_exit_zero(tmp_path, capsys):
     out = tmp_path / "verify.json"
     code = run_cli(["verify", "--fast", "--json", out])
     assert code == 0
-    doc = json.loads(out.read_text())
+    doc = load_checked(out, "verify_report")
     assert doc["passed"] is True
     assert all(check["passed"] for check in doc["checks"])
 

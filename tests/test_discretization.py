@@ -5,8 +5,10 @@ import weakref
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 import cuspeig as ce
+from cuspeig import discretization
 from cuspeig.discretization import assembly, p_form_apply, q_form_apply
 
 
@@ -161,6 +163,28 @@ class TestProjectZeroMean:
         oracle = 0.5 * (lo + hi)
         ours = float(u.values[0] - projected.values[0])
         assert ours == pytest.approx(oracle, abs=1e-11 * width)
+
+    def test_shift_functional_evaluated_only_by_brentq(self, cusp_g2_res32, rng, monkeypatch):
+        # The bracket ends are evaluated once, by brentq itself.
+        u = field_of(cusp_g2_res32, rng.uniform(-1.0, 1.0, cusp_g2_res32.num_nodes))
+        shift_functional = discretization._constraint_of_shift
+        calls = []
+
+        def counted(c, *args):
+            calls.append(c)
+            return shift_functional(c, *args)
+
+        monkeypatch.setattr(discretization, "_constraint_of_shift", counted)
+        projected = ce.project_zero_mean(u, 3.0)
+
+        asm = assembly(cusp_g2_res32)
+        lo, hi = float(u.values.min()), float(u.values.max())
+        c, info = brentq(
+            shift_functional, lo, hi, args=(asm.quad_values(u.values), asm.quad_w, 3.0),
+            xtol=1e-12 * (hi - lo), maxiter=200, full_output=True,
+        )
+        assert len(calls) == info.function_calls
+        np.testing.assert_array_equal(projected.values, u.values - c)
 
     def test_projection_frees_its_quadrature_arrays(self):
         # Each call evaluates the shift functional on a fresh (C, K) array of
