@@ -17,9 +17,14 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 from scipy.optimize import brentq
 
 from .geometry import Mesh
+
+
+class ConvergenceError(RuntimeError):
+    """A numerical solve or factorization failed; never silently accepted."""
 
 
 @dataclass(eq=False)
@@ -50,7 +55,7 @@ class EnergyAssembly:
     def __init__(self, mesh: Mesh):
         # Holds no reference to the mesh: the cache below is keyed weakly by
         # it, and a value that refers to its own key keeps the key alive.
-        n = mesh.n
+        n = self.dim = mesh.n
         corners = mesh.nodes[mesh.cells]                 # (C, n+1, n)
         edges = corners[:, 1:, :] - corners[:, :1, :]    # (C, n, n), rows are edges
         self.inv_edges = np.linalg.inv(edges)
@@ -90,18 +95,14 @@ class EnergyAssembly:
     def scatter_quad(self, point_values: np.ndarray) -> np.ndarray:
         """Nodal vector with entries int f phi_j for quadrature-point data f."""
         contrib = (self.quad_w * point_values) @ self.bary  # (C, n+1)
-        out = np.zeros(self.num_nodes)
-        np.add.at(out, self.cells, contrib)
-        return out
+        return np.bincount(self.cells.ravel(), weights=contrib.ravel(), minlength=self.num_nodes)
 
     def scatter_flux(self, cell_flux: np.ndarray) -> np.ndarray:
         """Nodal vector with entries sum_c vol_c * flux_c . grad(phi_j)."""
         contrib = np.einsum(
             "ci,cik->ck", self.volumes[:, None] * cell_flux, self.grads
         )
-        out = np.zeros(self.num_nodes)
-        np.add.at(out, self.cells, contrib)
-        return out
+        return np.bincount(self.cells.ravel(), weights=contrib.ravel(), minlength=self.num_nodes)
 
     @cached_property
     def grad_gram(self) -> np.ndarray:
@@ -159,26 +160,57 @@ class EnergyAssembly:
     def _neumann_lu(self):
         return self.bordered_factorization(self.stiffness)
 
+    @cached_property
+    def _band_ordering(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """RCM order of the grounded block, its inverse and half-bandwidth.
+
+        Built on the first factorization, not with the assembly, so mesh
+        set-up does not pay for it.  Every matrix factored here is
+        assembled from the same cells, so the stiffness pattern is theirs.
+        """
+        # Imported here: loading csgraph costs 1 MB of RSS that 2-D runs,
+        # which never order a band, need not pay.
+        from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+        block = self.stiffness[self.free][:, self.free].tocoo()
+        order = reverse_cuthill_mckee(block.tocsr(), symmetric_mode=True)
+        rank = np.empty(order.size, dtype=np.intp)
+        rank[order] = np.arange(order.size)
+        # The stored pattern, explicit zeros included: a weighted matrix
+        # may hold a nonzero where the stiffness cancels to zero.
+        return order, rank, int(np.max(np.abs(rank[block.row] - rank[block.col])))
+
     def bordered_factorization(self, matrix: sp.spmatrix):
-        """LU of a Neumann matrix with the ground node's row and column dropped.
+        """Factor a Neumann matrix with the ground node's row and column dropped.
 
         Every matrix solved here (stiffness, lagged-weight preconditioner,
         Newton Hessian) is symmetric with the constants as its kernel, so the
-        grounded block is SPD: it takes a minimum-degree ordering on A^T + A
-        and diagonal pivots, and fills far less than the bordered saddle
-        matrix [[A, m], [m^T, 0]] would.  Grounding at a tip node instead,
-        where cells are tiny, loses accuracy.
+        grounded block is SPD.  Grounding at a tip node instead, where cells
+        are tiny, loses accuracy.  The factor's ``solve`` applies the
+        inverse of the grounded block; ``L`` and ``U`` are its sparse
+        triangular factors.
+
+        On 2-D meshes SuperLU factors the block with a minimum-degree
+        ordering on A^T + A and diagonal pivots, which fills far less than
+        the bordered saddle matrix [[A, m], [m^T, 0]] would.  3-D meshes
+        are tubes of a fixed node block per level, whose reverse
+        Cuthill-McKee order has a narrow band, so LAPACK's banded Cholesky
+        factors them in about N b^2 flops with no symbolic phase (the
+        envelope method; George & Liu, 1981).  A block that is not
+        numerically positive definite raises :class:`ConvergenceError`.
         """
-        block = matrix[self.free][:, self.free].tocsc()
-        return spla.splu(
-            block,
-            permc_spec="MMD_AT_PLUS_A",
-            diag_pivot_thresh=0.0,
-            options={"SymmetricMode": True},
-        )
+        block = matrix[self.free][:, self.free]
+        if self.dim == 2:
+            return spla.splu(
+                block.tocsc(),
+                permc_spec="MMD_AT_PLUS_A",
+                diag_pivot_thresh=0.0,
+                options={"SymmetricMode": True},
+            )
+        return _BandCholesky(block, *self._band_ordering)
 
     def bordered_solve(self, lu, rhs: np.ndarray) -> np.ndarray:
-        """Zero-mean x with A x = project_load(rhs), from a grounded LU of A.
+        """Zero-mean x with A x = project_load(rhs), from a grounded factor of A.
 
         The projected load is compatible (it annihilates constants), so the
         grounded solution is a solution; removing its mean picks the one
@@ -196,6 +228,51 @@ class EnergyAssembly:
         """Norm of a load functional on the zero-mean space, via K^{-1}."""
         v = self.solve_neumann(residual)
         return float(np.sqrt(max(residual @ v, 0.0)))
+
+
+class _BandCholesky:
+    """Banded Cholesky of an SPD matrix in a given symmetric ordering.
+
+    Has the ``solve``, ``L`` and ``U`` of a SuperLU factor, so the Neumann
+    solves and their callers take either.
+    """
+
+    def __init__(self, matrix: sp.spmatrix, order: np.ndarray, rank: np.ndarray, width: int):
+        size = matrix.shape[0]
+        coo = matrix.tocoo()
+        i, j = rank[coo.row], rank[coo.col]
+        upper = i <= j
+        # LAPACK upper band storage: band[width + i - j, j] = A[i, j].
+        slot = (width + i[upper] - j[upper]) * size + j[upper]
+        band = np.bincount(slot, weights=coo.data[upper], minlength=(width + 1) * size)
+        try:
+            self._band = cholesky_banded(
+                band.reshape(width + 1, size), overwrite_ab=True, check_finite=False
+            )
+        except LinAlgError:
+            raise ConvergenceError(
+                f"Neumann factorization failed: grounded block ({size} unknowns) "
+                f"is not positive definite"
+            ) from None
+        self._order, self._rank = order, rank
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        x = cho_solve_banded(
+            (self._band, False), rhs[self._order], overwrite_b=True, check_finite=False
+        )
+        return x[self._rank]
+
+    @cached_property
+    def U(self) -> sp.dia_matrix:
+        # Row k of the band holds the superdiagonal at offset width - k.
+        width = self._band.shape[0] - 1
+        return sp.dia_matrix(
+            (self._band, np.arange(width, -1, -1)), shape=(self._band.shape[1],) * 2
+        )
+
+    @property
+    def L(self) -> sp.dia_matrix:
+        return self.U.T
 
 
 _ASSEMBLY_CACHE: "weakref.WeakKeyDictionary[Mesh, EnergyAssembly]" = weakref.WeakKeyDictionary()

@@ -28,6 +28,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .discretization import (
+    ConvergenceError,
     ScalarField,
     assembly,
     constraint_value,
@@ -53,10 +54,6 @@ _ARMIJO_FACTOR = 1e-4
 _INNER_TOL_FLOOR = 1e-11
 _INNER_TOL_CAP = 1e-3
 _INNER_TOL_RATIO = 1e-3
-
-
-class ConvergenceError(RuntimeError):
-    """A solver failed to reach its tolerance; never silently accepted."""
 
 
 @dataclass
@@ -191,9 +188,13 @@ def solve_p_laplace_source(
         w2 = (p - 2.0) * sq ** ((p - 4.0) / 2.0)
         rank_rows = np.einsum("cik,ci->ck", asm.grads, g)  # d_c = G^T g
         hess = asm.weighted_stiffness(w1, w2, rank_rows)
-        lu = asm.bordered_factorization(hess)
-        direction = asm.bordered_solve(lu, -grad_vec)
-        slope = float(grad_vec @ direction)
+        try:
+            lu = asm.bordered_factorization(hess)
+        except ConvergenceError:  # Cholesky found the Hessian indefinite
+            slope = 0.0
+        else:
+            direction = asm.bordered_solve(lu, -grad_vec)
+            slope = float(grad_vec @ direction)
         if slope >= 0.0:  # numerically indefinite Hessian; fall back to descent
             direction = -asm.solve_neumann(grad_vec)
             slope = float(grad_vec @ direction)

@@ -148,6 +148,13 @@ class TestSolveCommand:
             assert key in capsys.readouterr().err
             assert not out.exists()
 
+    def test_missing_config_file(self, tmp_path, capsys):
+        missing = tmp_path / "nope.conf"
+        assert run_cli(["--config", missing, "bound"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:")
+        assert str(missing) in err
+
 
 def test_verify_fast_exit_zero(tmp_path, capsys):
     out = tmp_path / "verify.json"
@@ -168,3 +175,11 @@ def test_sweep_rows(tmp_path):
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "gamma_i,p,resolution,lambda,weak_residual,iterations"
     assert len(lines) == 1 + 4
+    # Spawned workers, one BLAS thread each, give the same rows.
+    pooled = tmp_path / "pooled.csv"
+    code = run_cli(
+        ["sweep", "--n", 2, "--q", 2, "--gamma-grid", "1,2", "--p-grid", "2",
+         "--resolution-grid", "4,8", "--tol", 1e-4, "--workers", 2, "--csv", pooled]
+    )
+    assert code == 0
+    assert pooled.read_text() == csv_path.read_text()

@@ -257,6 +257,22 @@ class TestFormApplications:
         analytic = float(p_form_apply(field_of(square16, u), p) @ v)
         assert analytic == pytest.approx(fd, rel=1e-6)
 
+    def test_scatters_match_unbuffered_add(self, cusp16, rng):
+        # The element-order np.add.at reference: same additions in the same
+        # order from 0.0, so the sums agree bit for bit.
+        for mesh in (cusp16, ce.mesh_cusp(ce.CuspDomain((1.5, 1.5)), 1.0, 4)):
+            asm = assembly(mesh)
+            flux = rng.standard_normal((mesh.num_cells, mesh.n))
+            points = rng.standard_normal(asm.quad_w.shape)
+            flux_contrib = np.einsum("ci,cik->ck", asm.volumes[:, None] * flux, asm.grads)
+            for ours, contrib in (
+                (asm.scatter_flux(flux), flux_contrib),
+                (asm.scatter_quad(points), (asm.quad_w * points) @ asm.bary),
+            ):
+                reference = np.zeros(mesh.num_nodes)
+                np.add.at(reference, asm.cells, contrib)
+                assert np.array_equal(ours, reference)
+
 
 def test_field_validation(square16):
     with pytest.raises(ValueError, match="nodal values"):
@@ -289,8 +305,9 @@ def test_assembly_cache_releases_mesh():
     [
         lambda: ce.mesh_cusp(ce.CuspDomain((1.5, 1.5)), 1.0, 4),
         lambda: ce.mesh_box(ce.BoxDomain((1.0, 2.0)), 8),
+        lambda: ce.mesh_box(ce.BoxDomain((1.0, 1.0, 1.0)), 4),
     ],
-    ids=["cusp3d", "box2d"],
+    ids=["cusp3d", "box2d", "cube3d"],
 )
 def test_neumann_solve_matches_dense_least_squares(make_mesh):
     # A load with nonzero mean is incompatible with the pure-Neumann system,
@@ -315,3 +332,12 @@ def test_neumann_solve_matches_dense_least_squares(make_mesh):
         # near 1e-14, so no dense solve fixes the tip's nodal values well,
         # but those nodes carry almost no mass.
         assert mass_norm(ours - reference) <= 1e-9 * mass_norm(reference)
+
+
+def test_indefinite_grounded_block_raises():
+    # Banded Cholesky cannot factor what SuperLU's diagonal pivots would.
+    mesh = ce.mesh_cusp(ce.CuspDomain((1.5, 1.5)), 1.0, 4)
+    asm = assembly(mesh)
+    message = rf"Neumann factorization failed: grounded block \({mesh.num_nodes - 1} unknowns\)"
+    with pytest.raises(ce.ConvergenceError, match=message):
+        asm.bordered_factorization(-asm.stiffness)

@@ -51,6 +51,28 @@ class TestPLaplaceSource:
         defect -= assembly(square16).mass_vector * defect.sum() / square16.volume
         assert np.linalg.norm(defect) <= 1e-6
 
+    def test_failed_hessian_factorization_falls_back_to_descent(self, monkeypatch, rng):
+        mesh = ce.mesh_cusp(ce.CuspDomain((1.5, 1.5)), 1.0, 4)
+        f = zero_mean_field(mesh, rng.uniform(-1.0, 1.0, mesh.num_nodes))
+        reference = ce.solve_p_laplace_source(mesh, 3.0, f, tol=1e-10)
+        factor = EnergyAssembly.bordered_factorization
+        calls = [0]
+
+        def fails_first(self, matrix):
+            calls[0] += 1
+            if calls[0] == 1:
+                raise ConvergenceError("Neumann factorization failed")
+            return factor(self, matrix)
+
+        monkeypatch.setattr(EnergyAssembly, "bordered_factorization", fails_first)
+        v = ce.solve_p_laplace_source(mesh, 3.0, f, tol=1e-10)
+        assert calls[0] > 1
+        # Mass norm: the tip nodes carry almost no mass and are barely
+        # determined by the energy.
+        mass = assembly(mesh).mass
+        diff = v.values - reference.values
+        assert diff @ (mass @ diff) <= 1e-16 * (reference.values @ (mass @ reference.values))
+
     def test_rejects_incompatible_source(self, square16):
         f = ce.ScalarField(square16, np.ones(square16.num_nodes))
         with pytest.raises(ValueError, match="zero mean"):

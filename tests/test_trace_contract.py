@@ -47,3 +47,13 @@ def test_importers_hold_the_traced_objects(tracer):
     # check above would pass vacuously.
     assert "p_form_apply" in vars(eigensolver)
     assert "project_zero_mean" in vars(verification)
+
+
+@pytest.mark.parametrize("sides", [(1.0, 1.0), (1.0, 1.0, 1.0)], ids=["2d", "3d"])
+def test_factors_expose_what_the_tracer_reads(sides):
+    # The tracer's _after_factor reads L.nnz + U.nnz of every factor, and
+    # the Neumann solves call its solve.
+    asm = discretization.assembly(geometry.mesh_box(geometry.BoxDomain(sides), 4))
+    factor = asm.bordered_factorization(asm.stiffness)
+    assert callable(factor.solve)
+    assert factor.L.nnz > 0 and factor.U.nnz > 0
