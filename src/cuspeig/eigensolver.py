@@ -30,6 +30,7 @@ from scipy.optimize import minimize_scalar
 from .discretization import (
     ConvergenceError,
     ScalarField,
+    _shift_root,
     assembly,
     constraint_value,
     grad_norm_p,
@@ -307,6 +308,14 @@ def inverse_iteration(
             )
             if drift <= tol * abs(mu) and resid <= residual_tol:
                 break
+        if np.array_equal(z.values, asm.zero_mean(warm.values)):
+            # The inner solve stopped at its float floor before any Newton
+            # step, so every later step would repeat this one.
+            raise ConvergenceError(
+                f"inverse iteration stalled at step {iteration}: the inner solve "
+                f"returned its warm start at its float floor (weak residual "
+                f"{resid:.3e}, residual_tol {residual_tol:g})"
+            )
     else:
         raise ConvergenceError(
             f"inverse iteration did not converge in {max_iter} steps "
@@ -327,6 +336,26 @@ def inverse_iteration(
     return pair, trace
 
 
+def _ray_quotient(asm, ray, t: float, p: float, q: float, shift: float) -> tuple[float, float]:
+    """Quotient of project_zero_mean(u + t d, q) and its shift, from cell arrays.
+
+    ``ray`` holds the cell gradients and quadrature values of u and d,
+    which are linear in the nodal values, so a trial needs no gather.
+    ``shift`` warm-starts the zero-(q-1)-mean root.
+    """
+    grad_u, grad_d, vals_u, vals_d = ray
+    grads = grad_u + t * grad_d
+    vals = vals_u + t * vals_d
+    if q == 2.0:
+        shift = asm.integrate_pointwise(vals) / asm.volume
+    else:
+        shift = _shift_root(vals, asm.quad_w, q, shift, float(vals.min()), float(vals.max()))
+    sq = np.einsum("ci,ci->c", grads, grads)
+    energy = float(np.sum(asm.volumes * sq ** (p / 2.0)))
+    norm_q = asm.integrate_pointwise(np.abs(vals - shift) ** q) ** (1.0 / q)
+    return energy / norm_q**p, shift
+
+
 def minimize_rayleigh(
     mesh: Mesh,
     p: float,
@@ -340,9 +369,11 @@ def minimize_rayleigh(
     First-order projected descent: each step solves a linear Neumann
     problem for the quotient gradient (plain stiffness at p = 2, the
     lagged |grad u|^(p-2)-weighted stiffness otherwise), minimizes the
-    re-projected quotient along the ray, and renormalizes.  Converged when
-    the weak residual drops below ``tol``; stagnation raises instead of
-    returning a non-stationary pair.
+    re-projected quotient along the ray, and renormalizes.  Line-search
+    trials combine cell gradients and quadrature values of u and the
+    direction, computed once per step.  Converged when the weak residual
+    drops below ``tol``; stagnation raises instead of returning a
+    non-stationary pair.
     """
     if not (p > 1.0 and q > 1.0):
         raise ValueError(f"requires p, q > 1, got p={p}, q={q}")
@@ -381,6 +412,7 @@ def minimize_rayleigh(
             )
         recent_resids.append(resid)
         grad_r = p * (kp - rhs)
+        grad_u = asm.gradients(u)
         if p == 2.0:
             direction = -asm.solve_neumann(grad_r)
         else:
@@ -388,8 +420,7 @@ def minimize_rayleigh(
             # stiffness misjudges the p-energy curvature by |grad u|^(p-2),
             # which varies over orders of magnitude on cusp meshes and
             # strangles the step size; stale weights are nearly as bad.
-            g = asm.gradients(u)
-            sq = np.einsum("ci,ci->c", g, g)
+            sq = np.einsum("ci,ci->c", grad_u, grad_u)
             floor = 1e-12 * (float(np.mean(sq)) or 1.0)
             weights = (sq + floor) ** ((p - 2.0) / 2.0)
             lagged = asm.bordered_factorization(asm.weighted_stiffness(weights))
@@ -403,9 +434,15 @@ def minimize_rayleigh(
             break
         direction = direction / dir_scale
 
+        # Trials combine these cell arrays; the polish and the accepted
+        # step stay on nodal vectors, which the stopping test measures.
+        ray = (grad_u, asm.gradients(direction), asm.quad_values(u), asm.quad_values(direction))
+        shift = 0.0  # u has zero (q-1)-mean
+
         def quotient_along(t: float) -> float:
-            candidate = normalized(u + t * direction)
-            return grad_norm_p(ScalarField(mesh, candidate), p)
+            nonlocal shift
+            value, shift = _ray_quotient(asm, ray, t, p, q, shift)
+            return value
 
         def residual_along(t: float) -> float:
             candidate = ScalarField(mesh, normalized(u + t * direction))
@@ -453,6 +490,9 @@ def minimize_rayleigh(
             )
             if float(polish.fun) < resid:
                 best_t, best_f = float(polish.x), quotient_along(float(polish.x))
+        # Freed here, not when the next step rebinds it: in 3-D the next
+        # factorization sets the peak memory.
+        del ray
         if best_f <= rayleigh * (1.0 + 1e-14):
             u = normalized(u + best_t * direction)
             t_prev = best_t

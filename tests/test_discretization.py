@@ -5,7 +5,6 @@ import weakref
 
 import numpy as np
 import pytest
-from scipy.optimize import brentq
 
 import cuspeig as ce
 from cuspeig import discretization
@@ -164,27 +163,45 @@ class TestProjectZeroMean:
         ours = float(u.values[0] - projected.values[0])
         assert ours == pytest.approx(oracle, abs=1e-11 * width)
 
-    def test_shift_functional_evaluated_only_by_brentq(self, cusp_g2_res32, rng, monkeypatch):
-        # The bracket ends are evaluated once, by brentq itself.
+    def test_newton_shift_contract(self, cusp_g2_res32, rng, monkeypatch):
+        # Few evaluations from the q = 2 mean, almost none from the root,
+        # and never a point outside the bracket.
+        asm = assembly(cusp_g2_res32)
         u = field_of(cusp_g2_res32, rng.uniform(-1.0, 1.0, cusp_g2_res32.num_nodes))
-        shift_functional = discretization._constraint_of_shift
+        vals = asm.quad_values(u.values)
+        lo, hi = float(u.values.min()), float(u.values.max())
+        shift_functional = discretization._shift_functional
         calls = []
 
         def counted(c, *args):
             calls.append(c)
             return shift_functional(c, *args)
 
-        monkeypatch.setattr(discretization, "_constraint_of_shift", counted)
-        projected = ce.project_zero_mean(u, 3.0)
+        monkeypatch.setattr(discretization, "_shift_functional", counted)
+        root = float(u.values[0] - ce.project_zero_mean(u, 3.0).values[0])
+        assert len(calls) <= 8
 
-        asm = assembly(cusp_g2_res32)
-        lo, hi = float(u.values.min()), float(u.values.max())
-        c, info = brentq(
-            shift_functional, lo, hi, args=(asm.quad_values(u.values), asm.quad_w, 3.0),
-            xtol=1e-12 * (hi - lo), maxiter=200, full_output=True,
-        )
-        assert len(calls) == info.function_calls
-        np.testing.assert_array_equal(projected.values, u.values - c)
+        calls.clear()
+        warm = discretization._shift_root(vals, asm.quad_w, 3.0, root, lo, hi)
+        assert len(calls) <= 3
+        assert warm == pytest.approx(root, abs=1e-12 * (hi - lo))
+
+        # At q = 1.5 the slope (1 - q) int |v - c|^(q-2) is singular where
+        # v - c vanishes, so start on a quadrature value.  From this one,
+        # plain Newton leaves the bracket at its second step.
+        root = float(u.values[0] - ce.project_zero_mean(u, 1.5).values[0])
+        start = float(vals.flat[np.argmin(np.abs(vals - root - 0.025 * (hi - lo)))])
+        assert not math.isfinite(shift_functional(start, vals, asm.quad_w, 1.5)[1])
+        calls.clear()
+        c = discretization._shift_root(vals, asm.quad_w, 1.5, start, lo, hi)
+        assert c == pytest.approx(root, abs=1e-11 * (hi - lo))
+        # Every evaluation lies in the bracket the earlier ones narrowed.
+        for x in calls:
+            assert lo <= x <= hi
+            if shift_functional(x, vals, asm.quad_w, 1.5)[0] > 0.0:
+                lo = x
+            else:
+                hi = x
 
     def test_projection_frees_its_quadrature_arrays(self):
         # Each call evaluates the shift functional on a fresh (C, K) array of

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,8 +8,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import cuspeig as ce
+from cuspeig import eigensolver
 from cuspeig.discretization import EnergyAssembly, assembly, p_form_apply
-from cuspeig.eigensolver import ConvergenceError
+from cuspeig.eigensolver import ConvergenceError, _ray_quotient
 
 
 def zero_mean_field(mesh, values):
@@ -193,6 +195,20 @@ class TestInverseIteration:
         )
         assert pair.weak_residual <= 1e-6
 
+    def test_float_floor_stall_fails_fast(self, cusp_domain_2d, monkeypatch):
+        # Under this looser inner schedule the inner solve returns its warm
+        # start unchanged from step 15 on, and the weak residual would
+        # repeat until max_iter.
+        monkeypatch.setattr(eigensolver, "_INNER_TOL_CAP", 1e-2)
+        monkeypatch.setattr(eigensolver, "_INNER_TOL_RATIO", 3e-2)
+        mesh = ce.mesh_cusp(cusp_domain_2d, 1.0, 64)
+        x = ce.default_initial_field(mesh).values
+        noise = np.random.default_rng([5, 0]).uniform(-1.0, 1.0, mesh.num_nodes)
+        start = ce.ScalarField(mesh, x + 0.01 * np.max(np.abs(x)) * noise)
+        with pytest.raises(ConvergenceError, match="float floor") as info:
+            ce.inverse_iteration(mesh, 3.0, w0=start, tol=1e-8, residual_tol=1e-6, max_iter=40)
+        assert int(re.search(r"at step (\d+)", str(info.value)).group(1)) <= 16
+
     def test_eigenpair_invariants(self, cusp16):
         pair, _ = ce.inverse_iteration(cusp16, 2.5, tol=1e-8, residual_tol=1e-5)
         assert ce.lq_norm(pair.u, 2.0) == pytest.approx(1.0, abs=1e-10)
@@ -235,6 +251,24 @@ class TestMinimizeRayleigh:
         pair = ce.minimize_rayleigh(cusp16, 2.0, 2.5, tol=1e-4)
         assert pair.constraint_residual <= 1e-8
         assert pair.lam > 0.0
+
+
+@pytest.mark.parametrize("q", [1.5, 2.0, 3.0, 4.0])
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_ray_quotient_matches_nodal_path(cusp_g2_res32, rng, p, q):
+    # Route A's line-search trials evaluate the quotient from cell arrays of
+    # u and d; the nodal path projects u + t d and re-gathers.  Like route
+    # A's directions, d is a Neumann solve.
+    mesh = cusp_g2_res32
+    asm = assembly(mesh)
+    u = ce.project_zero_mean(ce.default_initial_field(mesh), q).values
+    d = asm.solve_neumann(asm.mass @ rng.uniform(-1.0, 1.0, mesh.num_nodes))
+    ray = (asm.gradients(u), asm.gradients(d), asm.quad_values(u), asm.quad_values(d))
+    shift = 0.0
+    for t in (1e-6, 1e-3, 0.1, 1.0, 4.0):
+        value, shift = _ray_quotient(asm, ray, t, p, q, shift)
+        nodal = ce.project_zero_mean(ce.ScalarField(mesh, u + t * d), q)
+        assert value == pytest.approx(ce.rayleigh_quotient(nodal, p, q), rel=1e-12)
 
 
 @pytest.mark.parametrize("p", [2.0, 3.0])
