@@ -292,8 +292,12 @@ def grad_norm_p(u: ScalarField, p: float) -> float:
     if not p > 1.0:
         raise ValueError(f"requires p > 1, got p={p}")
     asm = assembly(u.mesh)
-    g = asm.gradients(u.values)
-    mag = np.linalg.norm(g, axis=1)
+    return _energy_from_gradients(asm, asm.gradients(u.values), p)
+
+
+def _energy_from_gradients(asm: EnergyAssembly, grads: np.ndarray, p: float) -> float:
+    """int |grad u|^p from the (C, n) cell gradients of u."""
+    mag = np.sqrt(np.einsum("ci,ci->c", grads, grads))
     return float(np.sum(asm.volumes * mag**p))
 
 
@@ -302,7 +306,11 @@ def lq_norm(u: ScalarField, q: float) -> float:
     if not q >= 1.0:
         raise ValueError(f"requires q >= 1, got q={q}")
     asm = assembly(u.mesh)
-    vals = asm.quad_values(u.values)
+    return _lq_norm_from_values(asm, asm.quad_values(u.values), q)
+
+
+def _lq_norm_from_values(asm: EnergyAssembly, vals: np.ndarray, q: float) -> float:
+    """(int |u|^q)^(1/q) from the (C, K) quadrature values of u."""
     return float(asm.integrate_pointwise(np.abs(vals) ** q) ** (1.0 / q))
 
 

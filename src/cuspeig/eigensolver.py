@@ -30,6 +30,8 @@ from scipy.optimize import minimize_scalar
 from .discretization import (
     ConvergenceError,
     ScalarField,
+    _energy_from_gradients,
+    _lq_norm_from_values,
     _shift_root,
     assembly,
     constraint_value,
@@ -308,13 +310,20 @@ def inverse_iteration(
             )
             if drift <= tol * abs(mu) and resid <= residual_tol:
                 break
-        if np.array_equal(z.values, asm.zero_mean(warm.values)):
-            # The inner solve stopped at its float floor before any Newton
-            # step, so every later step would repeat this one.
+        if (
+            iteration > 1
+            and resid > residual_tol
+            and np.array_equal(z.values, asm.zero_mean(warm.values))
+        ):
+            # From step 2 on the warm start's gradient is the previous weak
+            # residual, above the inner tolerance unless that is at its
+            # floor, so an unchanged return means the solve is at its float
+            # floor and every later step repeats this one.  At step 1 the
+            # tolerance is the cap, which a converged start may already meet.
             raise ConvergenceError(
                 f"inverse iteration stalled at step {iteration}: the inner solve "
-                f"returned its warm start at its float floor (weak residual "
-                f"{resid:.3e}, residual_tol {residual_tol:g})"
+                f"returned its warm start unchanged at its float floor (weak "
+                f"residual {resid:.3e}, residual_tol {residual_tol:g})"
             )
     else:
         raise ConvergenceError(
@@ -350,10 +359,8 @@ def _ray_quotient(asm, ray, t: float, p: float, q: float, shift: float) -> tuple
         shift = asm.integrate_pointwise(vals) / asm.volume
     else:
         shift = _shift_root(vals, asm.quad_w, q, shift, float(vals.min()), float(vals.max()))
-    sq = np.einsum("ci,ci->c", grads, grads)
-    energy = float(np.sum(asm.volumes * sq ** (p / 2.0)))
-    norm_q = asm.integrate_pointwise(np.abs(vals - shift) ** q) ** (1.0 / q)
-    return energy / norm_q**p, shift
+    norm_q = _lq_norm_from_values(asm, vals - shift, q)
+    return _energy_from_gradients(asm, grads, p) / norm_q**p, shift
 
 
 def minimize_rayleigh(
@@ -395,7 +402,8 @@ def minimize_rayleigh(
     rayleigh = math.inf
     for iteration in range(1, max_iter + 1):
         field_u = ScalarField(mesh, u)
-        rayleigh = grad_norm_p(field_u, p)  # ||u||_q = 1 after normalization
+        grad_u = asm.gradients(u)
+        rayleigh = _energy_from_gradients(asm, grad_u, p)  # ||u||_q = 1 after normalization
         kp = p_form_apply(field_u, p, eps=eps)
         rhs = rayleigh * q_form_apply(field_u, q)
         resid = _weak_residual(asm, kp, rhs)
@@ -412,7 +420,6 @@ def minimize_rayleigh(
             )
         recent_resids.append(resid)
         grad_r = p * (kp - rhs)
-        grad_u = asm.gradients(u)
         if p == 2.0:
             direction = -asm.solve_neumann(grad_r)
         else:

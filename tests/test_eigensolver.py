@@ -209,6 +209,20 @@ class TestInverseIteration:
             ce.inverse_iteration(mesh, 3.0, w0=start, tol=1e-8, residual_tol=1e-6, max_iter=40)
         assert int(re.search(r"at step (\d+)", str(info.value)).group(1)) <= 16
 
+    @pytest.mark.parametrize("residual_tol", [1e-5, 1e-6])
+    def test_restart_from_converged_pair(self, cusp16, residual_tol):
+        # The first step's inner tolerance is the 1e-3 cap, which the
+        # converged start already meets, so step 1 returns its warm start
+        # unchanged; the weak residual 3.6e-6 of that start sits between
+        # the two tolerances.
+        pair, _ = ce.inverse_iteration(cusp16, 3.0, tol=1e-8, residual_tol=1e-5)
+        again, trace = ce.inverse_iteration(
+            cusp16, 3.0, w0=pair.u, tol=1e-8, residual_tol=residual_tol
+        )
+        assert again.weak_residual <= residual_tol
+        assert again.lam == pytest.approx(pair.lam, rel=1e-10)
+        assert len(trace) <= 5
+
     def test_eigenpair_invariants(self, cusp16):
         pair, _ = ce.inverse_iteration(cusp16, 2.5, tol=1e-8, residual_tol=1e-5)
         assert ce.lq_norm(pair.u, 2.0) == pytest.approx(1.0, abs=1e-10)
