@@ -68,6 +68,7 @@ class EnergyAssembly:
         self.bary = mesh.quad_barycentric                # (K, n+1)
         self.quad_w = mesh.quad_weights                  # (C, K)
         self.num_nodes = mesh.num_nodes
+        self.nodes = mesh.nodes
         self.volume = mesh.volume
         # Pure-Neumann solves fix the free constant at one node on the base
         # x_n = 1, where cells are largest; see bordered_factorization.
@@ -135,19 +136,65 @@ class EnergyAssembly:
         """Entries int phi_j; sums to the mesh volume."""
         return np.asarray(self.mass.sum(axis=1)).ravel()
 
+    @cached_property
+    def _scatter_plan(self) -> tuple[np.ndarray, np.ndarray]:
+        """Where each cell-local entry lands in the stiffness's CSR data.
+
+        Local entry ``order[k]`` (a flat index into the (C, n+1, n+1) local
+        array) is added into data slot ``slots[k]``.  The entries are kept
+        in the order in which scipy's COO -> CSR conversion sums duplicates,
+        so a matrix built from the plan is bitwise equal to ``_assemble``.
+        That conversion groups rows stably and then orders each row by a
+        sort whose permutation depends only on the column keys, so it is
+        read off once from index-valued data.  Built on first use, not with
+        the assembly, so mesh set-up does not pay for it.
+        """
+        cells = self.cells.astype(np.int32)
+        nloc = cells.shape[1]
+        # Local entries (c, a, 0..nloc-1) are consecutive and share the row
+        # cells[c, a], so a stable sort of these blocks by row is the
+        # stable row sort of all entries.
+        flat = cells.ravel()
+        blocks = np.argsort(flat, kind="stable").astype(np.int32)
+        order = (blocks[:, None] * nloc + np.arange(nloc, dtype=np.int32)).ravel()
+        rows = np.repeat(flat[blocks], nloc)
+        indptr = np.zeros(self.num_nodes + 1, dtype=np.int32)
+        np.cumsum(nloc * np.bincount(flat, minlength=self.num_nodes), out=indptr[1:])
+        probe = sp.csr_matrix(
+            (order.astype(float), cells[blocks // nloc].ravel(), indptr),
+            shape=(self.num_nodes,) * 2,
+        )
+        probe.sort_indices()
+        order = probe.data.astype(np.int32)
+        # A slot starts wherever the sorted (row, col) key changes.
+        cols = probe.indices
+        starts = np.ones(order.size, dtype=bool)
+        starts[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+        slots = np.cumsum(starts, dtype=np.int32) - 1
+        return order, slots
+
     def weighted_stiffness(
         self,
         weights: np.ndarray,
         rank_weights: np.ndarray | None = None,
         rank_vectors: np.ndarray | None = None,
     ) -> sp.csr_matrix:
-        """sum_c vol_c (w_c G^T G + r_c d_c d_c^T) for per-cell rows d_c."""
+        """sum_c vol_c (w_c G^T G + r_c d_c d_c^T) for per-cell rows d_c.
+
+        Scattered straight into the stiffness's CSR pattern by one gather
+        and one ``np.bincount`` over the cached scatter plan; the result,
+        indices and data, is bitwise equal to ``_assemble`` of the same
+        local array.  It shares the stiffness's index arrays.
+        """
+        order, slots = self._scatter_plan
+        pattern = self.stiffness
         local = (self.volumes * weights)[:, None, None] * self.grad_gram
         if rank_vectors is not None:
             local = local + (self.volumes * rank_weights)[:, None, None] * (
                 rank_vectors[:, :, None] * rank_vectors[:, None, :]
             )
-        return self._assemble(local)
+        data = np.bincount(slots, weights=local.ravel()[order], minlength=pattern.nnz)
+        return sp.csr_matrix((data, pattern.indices, pattern.indptr), shape=pattern.shape)
 
     def zero_mean(self, values: np.ndarray) -> np.ndarray:
         return values - (self.mass_vector @ values) / self.volume
@@ -161,24 +208,57 @@ class EnergyAssembly:
         return self.bordered_factorization(self.stiffness)
 
     @cached_property
-    def _band_ordering(self) -> tuple[np.ndarray, np.ndarray, int]:
-        """RCM order of the grounded block, its inverse and half-bandwidth.
+    def _grounded_csc(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """CSC arrays of the 2-D grounded block: gather map, indices, indptr.
 
-        Built on the first factorization, not with the assembly, so mesh
-        set-up does not pay for it.  Every matrix factored here is
-        assembled from the same cells, so the stiffness pattern is theirs.
+        The gather map picks, from the data of a matrix in the stiffness's
+        CSR pattern, exactly the CSC data that ``matrix[free][:, free]
+        .tocsc()`` produces.  It is read off once by slicing index-valued
+        data the same way.
         """
-        # Imported here: loading csgraph costs 1 MB of RSS that 2-D runs,
-        # which never order a band, need not pay.
-        from scipy.sparse.csgraph import reverse_cuthill_mckee
+        pattern = self.stiffness
+        probe = sp.csr_matrix(
+            (np.arange(pattern.nnz, dtype=float), pattern.indices, pattern.indptr),
+            shape=pattern.shape,
+        )
+        block = probe[self.free][:, self.free].tocsc()
+        return block.data.astype(np.int32), block.indices, block.indptr
 
-        block = self.stiffness[self.free][:, self.free].tocoo()
-        order = reverse_cuthill_mckee(block.tocsr(), symmetric_mode=True)
-        rank = np.empty(order.size, dtype=np.intp)
-        rank[order] = np.arange(order.size)
+    @cached_property
+    def _grounded_band(self):
+        """Level-order band of the 3-D grounded block.
+
+        Returns (gather, slots, width, order, rank): ``band[slots] =
+        data[gather]`` fills LAPACK's upper band storage of half-bandwidth
+        ``width`` from the data of a matrix in the stiffness's CSR pattern;
+        ``order`` lists the free unknowns in band order and ``rank`` inverts
+        it.  Free nodes are ordered by x_n, then by their cross coordinates
+        in descending order.  A Kuhn edge of the collapsed-grid tube joins
+        cross indices that grow with x_n, so every edge spans at most one
+        level block and the half-bandwidth is the node count of one level.
+        A mesh without that structure gets a wider band, not a wrong one.
+        """
+        pattern = self.stiffness
+        size = self.free.size
+        x = self.nodes[self.free]
+        order = np.lexsort((-x[:, 1], -x[:, 0], x[:, 2]))  # last key sorts first
+        rank = np.empty(size, dtype=np.intp)
+        rank[order] = np.arange(size)
+        # Band rank of every node; -1 marks the ground.
+        node_rank = np.full(self.num_nodes, -1, dtype=np.intp)
+        node_rank[self.free] = rank
+        i = node_rank[np.repeat(np.arange(self.num_nodes), np.diff(pattern.indptr))]
+        j = node_rank[pattern.indices]
         # The stored pattern, explicit zeros included: a weighted matrix
         # may hold a nonzero where the stiffness cancels to zero.
-        return order, rank, int(np.max(np.abs(rank[block.row] - rank[block.col])))
+        keep = (i >= 0) & (i <= j)
+        gather = np.flatnonzero(keep).astype(np.int32)
+        i, j = i[keep], j[keep]
+        width = int(np.max(j - i))
+        # LAPACK upper band storage, band[width + i - j, j] = A[i, j], in
+        # Fortran order, which pbtrf factors in place without a copy.
+        slots = (width + i - j + (width + 1) * j).astype(np.int32)
+        return gather, slots, width, order, rank
 
     def bordered_factorization(self, matrix: sp.spmatrix):
         """Factor a Neumann matrix with the ground node's row and column dropped.
@@ -190,24 +270,39 @@ class EnergyAssembly:
         inverse of the grounded block; ``L`` and ``U`` are its sparse
         triangular factors.
 
-        On 2-D meshes SuperLU factors the block with a minimum-degree
-        ordering on A^T + A and diagonal pivots, which fills far less than
-        the bordered saddle matrix [[A, m], [m^T, 0]] would.  3-D meshes
-        are tubes of a fixed node block per level, whose reverse
-        Cuthill-McKee order has a narrow band, so LAPACK's banded Cholesky
-        factors them in about N b^2 flops with no symbolic phase (the
-        envelope method; George & Liu, 1981).  A block that is not
-        numerically positive definite raises :class:`ConvergenceError`.
+        The matrix must be a CSR matrix in the stiffness's pattern, as
+        ``stiffness`` and ``weighted_stiffness`` return; the grounded block
+        is gathered from its data through a map cached per mesh, and any
+        other pattern raises ``ValueError``.  On 2-D meshes SuperLU factors
+        the block with a minimum-degree ordering on A^T + A and diagonal
+        pivots, which fills far less than the bordered saddle matrix
+        [[A, m], [m^T, 0]] would.  On 3-D meshes LAPACK's banded Cholesky
+        factors it in level order (see ``_grounded_band``), in about N b^2
+        flops with no symbolic phase (the envelope method; George & Liu,
+        1981).  A block that is not numerically positive definite raises
+        :class:`ConvergenceError`.
         """
-        block = matrix[self.free][:, self.free]
+        pattern = self.stiffness
+        if not (
+            sp.issparse(matrix)
+            and matrix.format == "csr"
+            and np.array_equal(matrix.indptr, pattern.indptr)
+            and np.array_equal(matrix.indices, pattern.indices)
+        ):
+            raise ValueError("expected a CSR matrix in the assembly's stiffness pattern")
+        size = self.free.size
         if self.dim == 2:
+            gather, indices, indptr = self._grounded_csc
             return spla.splu(
-                block.tocsc(),
+                sp.csc_matrix((matrix.data[gather], indices, indptr), shape=(size, size)),
                 permc_spec="MMD_AT_PLUS_A",
                 diag_pivot_thresh=0.0,
                 options={"SymmetricMode": True},
             )
-        return _BandCholesky(block, *self._band_ordering)
+        gather, slots, width, order, rank = self._grounded_band
+        band = np.zeros((width + 1) * size)
+        band[slots] = matrix.data[gather]
+        return _BandCholesky(band.reshape((width + 1, size), order="F"), order, rank)
 
     def bordered_solve(self, lu, rhs: np.ndarray) -> np.ndarray:
         """Zero-mean x with A x = project_load(rhs), from a grounded factor of A.
@@ -231,27 +326,20 @@ class EnergyAssembly:
 
 
 class _BandCholesky:
-    """Banded Cholesky of an SPD matrix in a given symmetric ordering.
+    """Banded Cholesky of an SPD matrix given in LAPACK upper band storage.
 
-    Has the ``solve``, ``L`` and ``U`` of a SuperLU factor, so the Neumann
-    solves and their callers take either.
+    ``band`` holds the matrix permuted to band order: unknown ``order[k]``
+    sits at band position k, and ``rank`` inverts ``order``.  Has the
+    ``solve``, ``L`` and ``U`` of a SuperLU factor, so the Neumann solves
+    and their callers take either.
     """
 
-    def __init__(self, matrix: sp.spmatrix, order: np.ndarray, rank: np.ndarray, width: int):
-        size = matrix.shape[0]
-        coo = matrix.tocoo()
-        i, j = rank[coo.row], rank[coo.col]
-        upper = i <= j
-        # LAPACK upper band storage: band[width + i - j, j] = A[i, j].
-        slot = (width + i[upper] - j[upper]) * size + j[upper]
-        band = np.bincount(slot, weights=coo.data[upper], minlength=(width + 1) * size)
+    def __init__(self, band: np.ndarray, order: np.ndarray, rank: np.ndarray):
         try:
-            self._band = cholesky_banded(
-                band.reshape(width + 1, size), overwrite_ab=True, check_finite=False
-            )
+            self._band = cholesky_banded(band, overwrite_ab=True, check_finite=False)
         except LinAlgError:
             raise ConvergenceError(
-                f"Neumann factorization failed: grounded block ({size} unknowns) "
+                f"Neumann factorization failed: grounded block ({band.shape[1]} unknowns) "
                 f"is not positive definite"
             ) from None
         self._order, self._rank = order, rank
@@ -319,7 +407,12 @@ def constraint_value(u: ScalarField, q: float) -> float:
     if not q > 1.0:
         raise ValueError(f"requires q > 1, got q={q}")
     asm = assembly(u.mesh)
-    return _shift_functional(0.0, asm.quad_values(u.values), asm.quad_w, q)[0]
+    return _constraint_from_values(asm, asm.quad_values(u.values), q)
+
+
+def _constraint_from_values(asm: EnergyAssembly, vals: np.ndarray, q: float) -> float:
+    """int |u|^(q-2) u from the (C, K) quadrature values of u."""
+    return _shift_functional(0.0, vals, asm.quad_w, q)[0]
 
 
 def _shift_functional(c: float, vals: np.ndarray, quad_w: np.ndarray, q: float):
@@ -404,7 +497,13 @@ def p_form_apply(u: ScalarField, p: float, eps: float = 0.0) -> np.ndarray:
     (|grad u|^2 + eps^2)^((p-2)/2), matching the regularized energy.
     """
     asm = assembly(u.mesh)
-    g = asm.gradients(u.values)
+    return _p_form_from_gradients(asm, asm.gradients(u.values), p, eps)
+
+
+def _p_form_from_gradients(
+    asm: EnergyAssembly, g: np.ndarray, p: float, eps: float = 0.0
+) -> np.ndarray:
+    """p_form_apply from the (C, n) cell gradients of u."""
     sq = np.einsum("ci,ci->c", g, g) + eps * eps
     if eps == 0.0:
         mag = np.sqrt(sq)
@@ -419,7 +518,11 @@ def p_form_apply(u: ScalarField, p: float, eps: float = 0.0) -> np.ndarray:
 def q_form_apply(u: ScalarField, q: float) -> np.ndarray:
     """Nodal vector of int |u|^(q-2) u phi_j."""
     asm = assembly(u.mesh)
-    vals = asm.quad_values(u.values)
+    return _q_form_from_values(asm, asm.quad_values(u.values), q)
+
+
+def _q_form_from_values(asm: EnergyAssembly, vals: np.ndarray, q: float) -> np.ndarray:
+    """q_form_apply from the (C, K) quadrature values of u."""
     return asm.scatter_quad(np.sign(vals) * np.abs(vals) ** (q - 1.0))
 
 

@@ -30,8 +30,11 @@ from scipy.optimize import minimize_scalar
 from .discretization import (
     ConvergenceError,
     ScalarField,
+    _constraint_from_values,
     _energy_from_gradients,
     _lq_norm_from_values,
+    _p_form_from_gradients,
+    _q_form_from_values,
     _shift_root,
     assembly,
     constraint_value,
@@ -181,11 +184,11 @@ def solve_p_laplace_source(
 
     rel_grad = math.inf
     for iteration in range(max_iter):
-        grad_vec = p_form_apply(ScalarField(mesh, v), p, eps=EPS_REGULARIZATION) - load
+        g = asm.gradients(v)
+        grad_vec = _p_form_from_gradients(asm, g, p, eps=EPS_REGULARIZATION) - load
         rel_grad = asm.dual_norm(grad_vec) / scale
         if rel_grad <= tol:
             return ScalarField(mesh, v)
-        g = asm.gradients(v)
         sq = np.einsum("ci,ci->c", g, g) + EPS_REGULARIZATION * EPS_REGULARIZATION
         w1 = sq ** ((p - 2.0) / 2.0)
         w2 = (p - 2.0) * sq ** ((p - 4.0) / 2.0)
@@ -401,13 +404,13 @@ def minimize_rayleigh(
     resid = math.inf
     rayleigh = math.inf
     for iteration in range(1, max_iter + 1):
-        field_u = ScalarField(mesh, u)
         grad_u = asm.gradients(u)
+        vals_u = asm.quad_values(u)
         rayleigh = _energy_from_gradients(asm, grad_u, p)  # ||u||_q = 1 after normalization
-        kp = p_form_apply(field_u, p, eps=eps)
-        rhs = rayleigh * q_form_apply(field_u, q)
+        kp = _p_form_from_gradients(asm, grad_u, p, eps=eps)
+        rhs = rayleigh * _q_form_from_values(asm, vals_u, q)
         resid = _weak_residual(asm, kp, rhs)
-        history.append((rayleigh, resid, abs(constraint_value(field_u, q))))
+        history.append((rayleigh, resid, abs(_constraint_from_values(asm, vals_u, q))))
         if resid <= tol:
             break
         if (
@@ -443,7 +446,7 @@ def minimize_rayleigh(
 
         # Trials combine these cell arrays; the polish and the accepted
         # step stay on nodal vectors, which the stopping test measures.
-        ray = (grad_u, asm.gradients(direction), asm.quad_values(u), asm.quad_values(direction))
+        ray = (grad_u, asm.gradients(direction), vals_u, asm.quad_values(direction))
         shift = 0.0  # u has zero (q-1)-mean
 
         def quotient_along(t: float) -> float:

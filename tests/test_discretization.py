@@ -5,6 +5,8 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import cuspeig as ce
 from cuspeig import discretization
@@ -309,12 +311,16 @@ def test_field_text_roundtrip(tmp_path, square16, rng):
 
 
 def test_assembly_cache_releases_mesh():
-    mesh = ce.mesh_box(ce.BoxDomain((1.0, 1.0)), 4)
-    assembly(mesh).stiffness
-    alive = weakref.ref(mesh)
-    del mesh
-    gc.collect()
-    assert alive() is None
+    for sides in ((1.0, 1.0), (1.0, 1.0, 1.0)):
+        mesh = ce.mesh_box(ce.BoxDomain(sides), 4)
+        asm = assembly(mesh)
+        # Builds the cached stiffness, scatter plan and factor maps.
+        asm.bordered_factorization(asm.weighted_stiffness(np.ones(mesh.num_cells)))
+        del asm
+        alive = weakref.ref(mesh)
+        del mesh
+        gc.collect()
+        assert alive() is None
 
 
 @pytest.mark.parametrize(
@@ -349,6 +355,80 @@ def test_neumann_solve_matches_dense_least_squares(make_mesh):
         # near 1e-14, so no dense solve fixes the tip's nodal values well,
         # but those nodes carry almost no mass.
         assert mass_norm(ours - reference) <= 1e-9 * mass_norm(reference)
+
+
+@pytest.fixture(scope="module")
+def cusp3d_res4():
+    return ce.mesh_cusp(ce.CuspDomain((1.5, 1.5)), 1.0, 4)
+
+
+@pytest.mark.parametrize("mesh_name", ["square16", "cusp_g2_res32", "cusp3d_res4"])
+@pytest.mark.parametrize("rank_one", [False, True], ids=["plain", "rank_one"])
+def test_weighted_stiffness_matches_coo_assembly(request, mesh_name, rank_one):
+    # The scatter plan must sum each slot's duplicates in the order the
+    # COO -> CSR conversion does, so the CSR is bitwise the same.
+    mesh = request.getfixturevalue(mesh_name)
+    asm = assembly(mesh)
+    rng = np.random.default_rng(3)
+    weights = rng.uniform(0.1, 2.0, mesh.num_cells)
+    args = (weights,)
+    local = (asm.volumes * weights)[:, None, None] * asm.grad_gram
+    if rank_one:
+        rank_weights = rng.uniform(0.0, 1.0, mesh.num_cells)
+        rows = rng.normal(size=(mesh.num_cells, mesh.n + 1))
+        args += (rank_weights, rows)
+        local = local + (asm.volumes * rank_weights)[:, None, None] * (
+            rows[:, :, None] * rows[:, None, :]
+        )
+    ours = asm.weighted_stiffness(*args)
+    reference = asm._assemble(local)
+    np.testing.assert_array_equal(ours.indptr, reference.indptr)
+    np.testing.assert_array_equal(ours.indices, reference.indices)
+    assert ours.data.tobytes() == reference.data.tobytes()
+
+
+def test_2d_factor_solves_like_superlu_on_the_sliced_block(cusp_g2_res32):
+    asm = assembly(cusp_g2_res32)
+    rng = np.random.default_rng(4)
+    matrix = asm.weighted_stiffness(rng.uniform(0.1, 2.0, cusp_g2_res32.num_cells))
+    reference = spla.splu(
+        matrix[asm.free][:, asm.free].tocsc(),
+        permc_spec="MMD_AT_PLUS_A",
+        diag_pivot_thresh=0.0,
+        options={"SymmetricMode": True},
+    )
+    ours = asm.bordered_factorization(matrix)
+    rhs = rng.normal(size=asm.free.size)
+    assert ours.solve(rhs).tobytes() == reference.solve(rhs).tobytes()
+    assert ours.L.nnz + ours.U.nnz == reference.L.nnz + reference.U.nnz
+
+
+@pytest.mark.parametrize(
+    "make_mesh, per_level",
+    [
+        (lambda: ce.mesh_cusp(ce.CuspDomain((1.5, 1.5)), 1.0, 12), 13 * 13),
+        (lambda: ce.mesh_box(ce.BoxDomain((1.0, 1.0, 1.0)), 16), 17 * 17),
+    ],
+    ids=["cusp3d_res12", "cube_res16"],
+)
+def test_3d_band_is_one_level_wide(make_mesh, per_level):
+    # Level order keeps every Kuhn edge within one level block of the band.
+    asm = assembly(make_mesh())
+    factor = asm.bordered_factorization(asm.stiffness)
+    assert factor.U.offsets.max() == per_level
+
+
+@pytest.mark.parametrize("mesh_name", ["square16", "cusp3d_res4"])
+def test_factorization_rejects_a_foreign_pattern(request, mesh_name):
+    asm = assembly(request.getfixturevalue(mesh_name))
+    with pytest.raises(ValueError, match="stiffness pattern"):
+        asm.bordered_factorization(sp.eye(asm.num_nodes, format="csr"))
+    with pytest.raises(ValueError, match="stiffness pattern"):
+        asm.bordered_factorization(asm.stiffness.tocsc())
+    # A copy in the same pattern is gathered, whatever its values.
+    negated = asm.bordered_factorization(-(-asm.stiffness))
+    rhs = np.random.default_rng(6).normal(size=asm.free.size)
+    assert np.array_equal(negated.solve(rhs), asm._neumann_lu.solve(rhs))
 
 
 def test_indefinite_grounded_block_raises():

@@ -10,6 +10,7 @@ These checks catch that in tier-1, not only under ``pytest perfbench``.
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cuspeig
@@ -49,11 +50,23 @@ def test_importers_hold_the_traced_objects(tracer):
     assert "project_zero_mean" in vars(verification)
 
 
-@pytest.mark.parametrize("sides", [(1.0, 1.0), (1.0, 1.0, 1.0)], ids=["2d", "3d"])
-def test_factors_expose_what_the_tracer_reads(sides):
+@pytest.mark.parametrize(
+    "make_mesh",
+    [
+        lambda: geometry.mesh_box(geometry.BoxDomain((1.0, 1.0)), 4),
+        lambda: geometry.mesh_box(geometry.BoxDomain((1.0, 1.0, 1.0)), 4),
+        lambda: geometry.mesh_cusp(geometry.CuspDomain((2.0,)), 1.0, 8),
+        lambda: geometry.mesh_cusp(geometry.CuspDomain((1.5, 1.5)), 1.0, 4),
+    ],
+    ids=["2d", "3d", "cusp2d", "cusp3d"],
+)
+def test_factors_expose_what_the_tracer_reads(make_mesh):
     # The tracer's _after_factor reads L.nnz + U.nnz of every factor, and
     # the Neumann solves call its solve.
-    asm = discretization.assembly(geometry.mesh_box(geometry.BoxDomain(sides), 4))
-    factor = asm.bordered_factorization(asm.stiffness)
-    assert callable(factor.solve)
-    assert factor.L.nnz > 0 and factor.U.nnz > 0
+    mesh = make_mesh()
+    asm = discretization.assembly(mesh)
+    weighted = asm.weighted_stiffness(np.linspace(0.5, 2.0, mesh.num_cells))
+    for matrix in (asm.stiffness, weighted):
+        factor = asm.bordered_factorization(matrix)
+        assert callable(factor.solve)
+        assert factor.L.nnz > 0 and factor.U.nnz > 0
