@@ -41,6 +41,10 @@ def unit_ball_volume(n: int) -> float:
     return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
 
 
+def _p_star_gamma(p: float, gamma: float) -> float:
+    return gamma * p / (gamma - p)
+
+
 @dataclass(frozen=True)
 class ExponentConfig:
     """Admissible exponent tuple (p, q, s, r) for dimension n and cusp gamma.
@@ -64,10 +68,9 @@ class ExponentConfig:
             raise BoundConfigError(f"requires 1<s<p<gamma, got s={s}, p={p}, gamma={gamma}")
         if not gamma >= n:
             raise BoundConfigError(f"requires gamma >= n, got gamma={gamma}, n={n}")
-        p_star = gamma * p / (gamma - p)
-        if not (1.0 < q < p_star):
+        if not (1.0 < q < self.p_star_gamma):
             raise BoundConfigError(
-                f"requires 1<q<p*_gamma={p_star:.6g}, got q={q}"
+                f"requires 1<q<p*_gamma={self.p_star_gamma:.6g}, got q={q}"
             )
         if not q < r:
             raise BoundConfigError(f"requires q<r, got q={q}, r={r}")
@@ -82,7 +85,7 @@ class ExponentConfig:
 
     @property
     def p_star_gamma(self) -> float:
-        return self.gamma * self.p / (self.gamma - self.p)
+        return _p_star_gamma(self.p, self.gamma)
 
     @property
     def delta(self) -> float:
@@ -105,7 +108,7 @@ class ExponentConfig:
         the unclamped rule empties it); r sits halfway between q and the
         subcritical ceiling.  Both can be overridden.
         """
-        p_star = gamma * p / (gamma - p)
+        p_star = _p_star_gamma(p, gamma)
         if s is None:
             target = 1.05 * p_star
             s = n * target / (n + target)

@@ -110,26 +110,15 @@ class EnergyAssembly:
         """(C, n+1, n+1) per-cell Gram matrices of the gradient operators."""
         return np.einsum("cik,cil->ckl", self.grads, self.grads)
 
-    def _assemble(self, local: np.ndarray) -> sp.csr_matrix:
-        nloc = self.cells.shape[1]
-        rows = np.repeat(self.cells, nloc, axis=1).ravel()
-        cols = np.tile(self.cells, (1, nloc)).ravel()
-        mat = sp.coo_matrix(
-            (local.ravel(), (rows, cols)), shape=(self.num_nodes, self.num_nodes)
-        )
-        return mat.tocsr()
-
     @cached_property
     def stiffness(self) -> sp.csr_matrix:
-        local = self.volumes[:, None, None] * self.grad_gram
-        return self._assemble(local)
+        return self._assemble(self.volumes[:, None, None] * self.grad_gram)
 
     @cached_property
     def mass(self) -> sp.csr_matrix:
         # Degree-2 rule integrates phi_i phi_j exactly.
         rule_local = np.einsum("k,ki,kj->ij", self.quad_w[0] / self.volumes[0], self.bary, self.bary)
-        local = self.volumes[:, None, None] * rule_local[None, :, :]
-        return self._assemble(local)
+        return self._assemble(self.volumes[:, None, None] * rule_local[None, :, :])
 
     @cached_property
     def mass_vector(self) -> np.ndarray:
@@ -137,17 +126,16 @@ class EnergyAssembly:
         return np.asarray(self.mass.sum(axis=1)).ravel()
 
     @cached_property
-    def _scatter_plan(self) -> tuple[np.ndarray, np.ndarray]:
-        """Where each cell-local entry lands in the stiffness's CSR data.
+    def _scatter_plan(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """CSR pattern of every Neumann matrix and where local entries land.
 
-        Local entry ``order[k]`` (a flat index into the (C, n+1, n+1) local
-        array) is added into data slot ``slots[k]``.  The entries are kept
-        in the order in which scipy's COO -> CSR conversion sums duplicates,
-        so a matrix built from the plan is bitwise equal to ``_assemble``.
-        That conversion groups rows stably and then orders each row by a
-        sort whose permutation depends only on the column keys, so it is
-        read off once from index-valued data.  Built on first use, not with
-        the assembly, so mesh set-up does not pay for it.
+        Returns (order, slots, indices, indptr): local entry ``order[k]``, a
+        flat index into a (C, n+1, n+1) array, adds into data slot
+        ``slots[k]``; the matrices share ``indices`` and ``indptr``
+        read-only.  Slots sum their entries in the order scipy's COO -> CSR
+        conversion does, which groups rows stably and sorts each row by a
+        permutation that depends only on the column keys; it is read off
+        once from index-valued data, so every matrix is bitwise equal.
         """
         cells = self.cells.astype(np.int32)
         nloc = cells.shape[1]
@@ -158,20 +146,30 @@ class EnergyAssembly:
         blocks = np.argsort(flat, kind="stable").astype(np.int32)
         order = (blocks[:, None] * nloc + np.arange(nloc, dtype=np.int32)).ravel()
         rows = np.repeat(flat[blocks], nloc)
-        indptr = np.zeros(self.num_nodes + 1, dtype=np.int32)
-        np.cumsum(nloc * np.bincount(flat, minlength=self.num_nodes), out=indptr[1:])
+        row_ptr = np.zeros(self.num_nodes + 1, dtype=np.int32)
+        np.cumsum(nloc * np.bincount(flat, minlength=self.num_nodes), out=row_ptr[1:])
         probe = sp.csr_matrix(
-            (order.astype(float), cells[blocks // nloc].ravel(), indptr),
+            (order, cells[blocks // nloc].ravel(), row_ptr),
             shape=(self.num_nodes,) * 2,
         )
         probe.sort_indices()
-        order = probe.data.astype(np.int32)
+        order, cols = probe.data, probe.indices
         # A slot starts wherever the sorted (row, col) key changes.
-        cols = probe.indices
         starts = np.ones(order.size, dtype=bool)
         starts[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
         slots = np.cumsum(starts, dtype=np.int32) - 1
-        return order, slots
+        indices = cols[starts]
+        indptr = np.zeros(self.num_nodes + 1, dtype=np.int32)
+        np.cumsum(np.bincount(rows[starts], minlength=self.num_nodes), out=indptr[1:])
+        indices.setflags(write=False)
+        indptr.setflags(write=False)
+        return order, slots, indices, indptr
+
+    def _assemble(self, local: np.ndarray) -> sp.csr_matrix:
+        """Sum of a (C, n+1, n+1) cell-local array: one gather, one bincount."""
+        order, slots, indices, indptr = self._scatter_plan
+        data = np.bincount(slots, weights=local.ravel()[order], minlength=indices.size)
+        return sp.csr_matrix((data, indices, indptr), shape=(self.num_nodes,) * 2)
 
     def weighted_stiffness(
         self,
@@ -181,20 +179,14 @@ class EnergyAssembly:
     ) -> sp.csr_matrix:
         """sum_c vol_c (w_c G^T G + r_c d_c d_c^T) for per-cell rows d_c.
 
-        Scattered straight into the stiffness's CSR pattern by one gather
-        and one ``np.bincount`` over the cached scatter plan; the result,
-        indices and data, is bitwise equal to ``_assemble`` of the same
-        local array.  It shares the stiffness's index arrays.
+        Shares the read-only pattern of ``stiffness`` and ``mass``.
         """
-        order, slots = self._scatter_plan
-        pattern = self.stiffness
         local = (self.volumes * weights)[:, None, None] * self.grad_gram
         if rank_vectors is not None:
             local = local + (self.volumes * rank_weights)[:, None, None] * (
                 rank_vectors[:, :, None] * rank_vectors[:, None, :]
             )
-        data = np.bincount(slots, weights=local.ravel()[order], minlength=pattern.nnz)
-        return sp.csr_matrix((data, pattern.indices, pattern.indptr), shape=pattern.shape)
+        return self._assemble(local)
 
     def zero_mean(self, values: np.ndarray) -> np.ndarray:
         return values - (self.mass_vector @ values) / self.volume
@@ -211,15 +203,15 @@ class EnergyAssembly:
     def _grounded_csc(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """CSC arrays of the 2-D grounded block: gather map, indices, indptr.
 
-        The gather map picks, from the data of a matrix in the stiffness's
+        The gather map picks, from the data of a matrix in the assembly's
         CSR pattern, exactly the CSC data that ``matrix[free][:, free]
         .tocsc()`` produces.  It is read off once by slicing index-valued
         data the same way.
         """
-        pattern = self.stiffness
+        *_, indices, indptr = self._scatter_plan
         probe = sp.csr_matrix(
-            (np.arange(pattern.nnz, dtype=float), pattern.indices, pattern.indptr),
-            shape=pattern.shape,
+            (np.arange(indices.size, dtype=float), indices, indptr),
+            shape=(self.num_nodes,) * 2,
         )
         block = probe[self.free][:, self.free].tocsc()
         return block.data.astype(np.int32), block.indices, block.indptr
@@ -230,7 +222,7 @@ class EnergyAssembly:
 
         Returns (gather, slots, width, order, rank): ``band[slots] =
         data[gather]`` fills LAPACK's upper band storage of half-bandwidth
-        ``width`` from the data of a matrix in the stiffness's CSR pattern;
+        ``width`` from the data of a matrix in the assembly's CSR pattern;
         ``order`` lists the free unknowns in band order and ``rank`` inverts
         it.  Free nodes are ordered by x_n, then by their cross coordinates
         in descending order.  A Kuhn edge of the collapsed-grid tube joins
@@ -238,7 +230,7 @@ class EnergyAssembly:
         level block and the half-bandwidth is the node count of one level.
         A mesh without that structure gets a wider band, not a wrong one.
         """
-        pattern = self.stiffness
+        *_, indices, indptr = self._scatter_plan
         size = self.free.size
         x = self.nodes[self.free]
         order = np.lexsort((-x[:, 1], -x[:, 0], x[:, 2]))  # last key sorts first
@@ -247,8 +239,8 @@ class EnergyAssembly:
         # Band rank of every node; -1 marks the ground.
         node_rank = np.full(self.num_nodes, -1, dtype=np.intp)
         node_rank[self.free] = rank
-        i = node_rank[np.repeat(np.arange(self.num_nodes), np.diff(pattern.indptr))]
-        j = node_rank[pattern.indices]
+        i = node_rank[np.repeat(np.arange(self.num_nodes), np.diff(indptr))]
+        j = node_rank[indices]
         # The stored pattern, explicit zeros included: a weighted matrix
         # may hold a nonzero where the stiffness cancels to zero.
         keep = (i >= 0) & (i <= j)
@@ -270,7 +262,7 @@ class EnergyAssembly:
         inverse of the grounded block; ``L`` and ``U`` are its sparse
         triangular factors.
 
-        The matrix must be a CSR matrix in the stiffness's pattern, as
+        The matrix must be a CSR matrix in the assembly's pattern, as
         ``stiffness`` and ``weighted_stiffness`` return; the grounded block
         is gathered from its data through a map cached per mesh, and any
         other pattern raises ``ValueError``.  On 2-D meshes SuperLU factors
@@ -282,12 +274,12 @@ class EnergyAssembly:
         1981).  A block that is not numerically positive definite raises
         :class:`ConvergenceError`.
         """
-        pattern = self.stiffness
+        *_, indices, indptr = self._scatter_plan
         if not (
             sp.issparse(matrix)
             and matrix.format == "csr"
-            and np.array_equal(matrix.indptr, pattern.indptr)
-            and np.array_equal(matrix.indices, pattern.indices)
+            and np.array_equal(matrix.indptr, indptr)
+            and np.array_equal(matrix.indices, indices)
         ):
             raise ValueError("expected a CSR matrix in the assembly's stiffness pattern")
         size = self.free.size
@@ -383,10 +375,13 @@ def grad_norm_p(u: ScalarField, p: float) -> float:
     return _energy_from_gradients(asm, asm.gradients(u.values), p)
 
 
-def _energy_from_gradients(asm: EnergyAssembly, grads: np.ndarray, p: float) -> float:
-    """int |grad u|^p from the (C, n) cell gradients of u."""
-    mag = np.sqrt(np.einsum("ci,ci->c", grads, grads))
-    return float(np.sum(asm.volumes * mag**p))
+def _energy_from_gradients(
+    asm: EnergyAssembly, grads: np.ndarray, p: float, eps: float = 0.0
+) -> float:
+    """int (|grad u|^2 + eps^2)^(p/2) from the (C, n) cell gradients of u."""
+    sq = np.einsum("ci,ci->c", grads, grads) + eps * eps
+    density = np.sqrt(sq) ** p if eps == 0.0 else sq ** (p / 2.0)
+    return float(np.sum(asm.volumes * density))
 
 
 def lq_norm(u: ScalarField, q: float) -> float:

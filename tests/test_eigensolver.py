@@ -1,5 +1,6 @@
 import math
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -312,3 +313,30 @@ def test_discrete_operator_monotone(cusp16):
 def test_solve_eigenpair_rejects_unknown_method(square16):
     with pytest.raises(ValueError, match="unknown method 'newton'"):
         ce.solve_eigenpair(square16, 2.0, 2.0, "newton", 1e-6)
+
+
+def test_solver_loops_call_the_public_forms_only_at_the_boundary(cusp_g2_res32, monkeypatch):
+    # The loops evaluate the forms through the array cores, on cell arrays
+    # gathered once per field; p_form_apply and q_form_apply run only in the
+    # final check_weak_residual.
+    counts = Counter()
+
+    def counting(name):
+        original = getattr(eigensolver, name)
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        return counted
+
+    for name in ("p_form_apply", "q_form_apply", "project_zero_mean"):
+        monkeypatch.setattr(eigensolver, name, counting(name))
+    pair = ce.minimize_rayleigh(cusp_g2_res32, 2.5, 3.0)
+    # The start and each accepted step project once; more projections are
+    # residual-polish trials, so the polish ran.
+    assert counts["project_zero_mean"] > pair.iterations
+    assert counts["p_form_apply"] <= 1 and counts["q_form_apply"] <= 1
+    counts.clear()
+    ce.inverse_iteration(cusp_g2_res32, 2.5)
+    assert counts["p_form_apply"] <= 1 and counts["q_form_apply"] <= 1

@@ -70,3 +70,28 @@ def test_factors_expose_what_the_tracer_reads(make_mesh):
         factor = asm.bordered_factorization(matrix)
         assert callable(factor.solve)
         assert factor.L.nnz > 0 and factor.U.nnz > 0
+
+
+def test_both_routes_record_the_benchmark_spans(tracer):
+    # The layers perfbench/workloads.py expects in a traced solve.  Only the
+    # two-minute `pytest perfbench` run would otherwise catch a missing one.
+    mesh = geometry.mesh_cusp(geometry.CuspDomain((2.0,)), 1.0, 8)
+    shared = {
+        "discretization.gradients",
+        "discretization.factor",
+        "discretization.trisolve",
+        "discretization.stiffness",
+        "discretization.p_form",
+        "discretization.q_form",
+        "discretization.energy",
+    }
+    routes = [
+        (lambda: eigensolver.minimize_rayleigh(mesh, 2.5, 3.0), "discretization.project"),
+        (lambda: eigensolver.inverse_iteration(mesh, 2.5), tracer.INNER_SPAN),
+    ]
+    for solve, route_span in routes:
+        recorder = tracer.Tracer()
+        with recorder.installed():
+            solve()
+        recorded = {record["name"] for record in recorder.records()}
+        assert shared | {route_span} <= recorded, sorted(shared | {route_span} - recorded)
