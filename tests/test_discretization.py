@@ -428,31 +428,42 @@ def test_shared_index_arrays_are_read_only(request, mesh_name):
                 index_array[0] = 0
 
 
-def test_2d_factor_solves_like_superlu_on_the_sliced_block(cusp_g2_res32):
+def test_2d_factor_is_backward_stable_like_superlu(cusp_g2_res32):
+    # The tip's conditioning lets the two solutions differ by about 5e-3
+    # relative, so both are held to the normwise backward error instead.
     asm = assembly(cusp_g2_res32)
     rng = np.random.default_rng(4)
     matrix = asm.weighted_stiffness(rng.uniform(0.1, 2.0, cusp_g2_res32.num_cells))
+    block = matrix[asm.free][:, asm.free]
     reference = spla.splu(
-        matrix[asm.free][:, asm.free].tocsc(),
+        block.tocsc(),
         permc_spec="MMD_AT_PLUS_A",
         diag_pivot_thresh=0.0,
         options={"SymmetricMode": True},
     )
     ours = asm.bordered_factorization(matrix)
     rhs = rng.normal(size=asm.free.size)
-    assert ours.solve(rhs).tobytes() == reference.solve(rhs).tobytes()
-    assert ours.L.nnz + ours.U.nnz == reference.L.nnz + reference.U.nnz
+    block_norm = abs(block).sum(axis=1).max()
+
+    def backward_error(x):
+        residual = np.max(np.abs(block @ x - rhs))
+        return residual / (block_norm * np.max(np.abs(x)) + np.max(np.abs(rhs)))
+
+    assert backward_error(reference.solve(rhs)) <= 1e-14
+    assert backward_error(ours.solve(rhs)) <= 1e-14
 
 
 @pytest.mark.parametrize(
     "make_mesh, per_level",
     [
+        (lambda: ce.mesh_cusp(ce.CuspDomain((2.0,)), 1.0, 32), 33),
+        (lambda: ce.mesh_box(ce.BoxDomain((1.0, 1.0)), 16), 17),
         (lambda: ce.mesh_cusp(ce.CuspDomain((1.5, 1.5)), 1.0, 12), 13 * 13),
         (lambda: ce.mesh_box(ce.BoxDomain((1.0, 1.0, 1.0)), 16), 17 * 17),
     ],
-    ids=["cusp3d_res12", "cube_res16"],
+    ids=["cusp2d_res32", "square_res16", "cusp3d_res12", "cube_res16"],
 )
-def test_3d_band_is_one_level_wide(make_mesh, per_level):
+def test_band_is_one_level_wide(make_mesh, per_level):
     # Level order keeps every Kuhn edge within one level block of the band.
     asm = assembly(make_mesh())
     factor = asm.bordered_factorization(asm.stiffness)
@@ -472,10 +483,10 @@ def test_factorization_rejects_a_foreign_pattern(request, mesh_name):
     assert np.array_equal(negated.solve(rhs), asm._neumann_lu.solve(rhs))
 
 
-def test_indefinite_grounded_block_raises():
+def test_indefinite_grounded_block_raises(cusp16, cusp3d_res4):
     # Banded Cholesky cannot factor what SuperLU's diagonal pivots would.
-    mesh = ce.mesh_cusp(ce.CuspDomain((1.5, 1.5)), 1.0, 4)
-    asm = assembly(mesh)
-    message = rf"Neumann factorization failed: grounded block \({mesh.num_nodes - 1} unknowns\)"
-    with pytest.raises(ce.ConvergenceError, match=message):
-        asm.bordered_factorization(-asm.stiffness)
+    for mesh in (cusp16, cusp3d_res4):
+        asm = assembly(mesh)
+        message = rf"Neumann factorization failed: grounded block \({mesh.num_nodes - 1} unknowns\)"
+        with pytest.raises(ce.ConvergenceError, match=message):
+            asm.bordered_factorization(-asm.stiffness)

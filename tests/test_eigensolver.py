@@ -267,6 +267,26 @@ class TestMinimizeRayleigh:
         assert pair.constraint_residual <= 1e-8
         assert pair.lam > 0.0
 
+    def test_failed_lagged_factorization_falls_back_to_stiffness(self, cusp16, monkeypatch):
+        # Every third lagged-weight block breaks down, as numerically
+        # singular tip blocks do; the step is then stiffness-preconditioned.
+        factor = EnergyAssembly.bordered_factorization
+        weighted = [0]
+
+        def breaks_down(self, matrix):
+            if matrix is not self.stiffness:
+                weighted[0] += 1
+                if weighted[0] % 3 == 1:
+                    raise ConvergenceError("Neumann factorization failed")
+            return factor(self, matrix)
+
+        monkeypatch.setattr(EnergyAssembly, "bordered_factorization", breaks_down)
+        pair = ce.minimize_rayleigh(cusp16, 3.0, 2.0, tol=1e-5)
+        assert weighted[0] > 3
+        assert pair.weak_residual <= 1e-5
+        # Route A's lambda with SuperLU factoring every lagged block.
+        assert pair.lam == pytest.approx(69.79343726100868, rel=1e-9)
+
 
 @pytest.mark.parametrize("q", [1.5, 2.0, 3.0, 4.0])
 @pytest.mark.parametrize("p", [2.0, 3.0])
