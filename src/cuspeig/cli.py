@@ -22,7 +22,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-from .bounds import TWELVE_PI, BoundConfigError, lower_bound_report
+from .bounds import TWELVE_PI, BoundConfigError, _p_star_gamma, lower_bound_report
 from .eigensolver import ConvergenceError, solve_eigenpair
 from .geometry import (
     BoxDomain,
@@ -41,8 +41,36 @@ EXIT_NUMERICAL = 1
 EXIT_CONFIG = 2
 
 
-def _float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in text.split(",") if tok.strip())
+def _list_of(kind):
+    """Flag type: a nonempty comma-separated list of ``kind`` values."""
+    def parse(text: str) -> tuple:
+        try:
+            values = tuple(kind(tok) for tok in text.split(",") if tok.strip())
+        except ValueError:
+            values = ()
+        if not values:
+            raise argparse.ArgumentTypeError(
+                f"expected a nonempty comma-separated list of {kind.__name__} values, got {text!r}"
+            )
+        return values
+
+    return parse
+
+
+_float_list, _int_list = _list_of(float), _list_of(int)
+
+
+def _check_subcritical(gamma: float, p: float, q: float) -> None:
+    """Reject q >= p*_gamma = gamma p / (gamma - p) when p < gamma.
+
+    There W^{1,p} does not embed compactly into L^q, the eigenvalue is 0,
+    and a discrete solve returns a number set by the tip cutoff.
+    """
+    if p < gamma and q >= _p_star_gamma(p, gamma):
+        raise ValueError(
+            f"requires q < p*_gamma = {_p_star_gamma(p, gamma):g} (no compact embedding; "
+            f"lambda = 0), got q={q:g} at p={p:g}, gamma={gamma:g}"
+        )
 
 
 def _load_config_file(path: str) -> dict:
@@ -72,7 +100,7 @@ def _config_value(action: argparse.Action, key: str, raw: str):
         return word in ("1", "true", "yes")
     try:
         value = action.type(raw) if action.type else raw
-    except ValueError:
+    except (ValueError, argparse.ArgumentTypeError):
         raise ValueError(f"config key {key}: invalid value {raw!r}") from None
     if action.choices and value not in action.choices:
         raise ValueError(
@@ -154,10 +182,14 @@ def _run_bound(args: argparse.Namespace) -> int:
 def _run_solve(args: argparse.Namespace) -> int:
     if args.domain == "box":
         domain_info = {"type": "box", "sides": list(args.sides)}
-        mesh = mesh_box(BoxDomain(args.sides), args.resolution)
+        box = BoxDomain(args.sides)
+        _check_subcritical(box.n, args.p, args.q)  # a box is Lipschitz: gamma = n
+        mesh = mesh_box(box, args.resolution)
     else:
         domain_info = {"type": "cusp", "gammas": list(args.gammas), "a": args.a}
-        mesh = mesh_cusp(CuspDomain(args.gammas), args.a, args.resolution)
+        cusp = CuspDomain(args.gammas)
+        _check_subcritical(cusp.gamma, args.p, args.q)
+        mesh = mesh_cusp(cusp, args.a, args.resolution)
     if args.dump_mesh:
         write_mesh_text(mesh, args.dump_mesh)
 
@@ -228,8 +260,12 @@ def _sweep_cell(task: tuple) -> tuple:
 
 
 def _run_sweep(args: argparse.Namespace) -> int:
+    for sigma in args.gamma_grid:
+        gamma = CuspDomain(tuple([sigma] * (args.n - 1))).gamma
+        for p in args.p_grid:
+            _check_subcritical(gamma, p, args.q)
     tasks = [
-        (args.n, args.q, sigma, p, int(res), args.method, args.tol)
+        (args.n, args.q, sigma, p, res, args.method, args.tol)
         for sigma in args.gamma_grid
         for p in args.p_grid
         for res in args.resolution_grid
@@ -314,7 +350,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sweep.add_argument("--gamma-grid", dest="gamma_grid", type=_float_list, default="1,2",
                        help="comma-separated isotropic profile exponents")
     sweep.add_argument("--p-grid", dest="p_grid", type=_float_list, default="2")
-    sweep.add_argument("--resolution-grid", dest="resolution_grid", type=_float_list,
+    sweep.add_argument("--resolution-grid", dest="resolution_grid", type=_int_list,
                        default="8")
     sweep.add_argument("--method", choices=("minimize", "iterate"), default="minimize")
     sweep.add_argument("--tol", type=float, default=1e-4)

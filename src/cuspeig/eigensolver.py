@@ -128,6 +128,51 @@ def _p_energy(asm, values: np.ndarray, p: float, load: np.ndarray) -> float:
     return float(energy / p - load @ values)
 
 
+def _weighted_step(asm, grad: np.ndarray, *weights) -> np.ndarray:
+    """Step -A^{-1} grad with A = weighted_stiffness(*weights), or -K^{-1} grad
+    where Cholesky finds A indefinite or the step does not descend.
+
+    A is not bound to a name, so it is freed once its band is filled; kept
+    into the next step, it left peak memory 10 MB higher in half of the
+    res-128 benchmark runs.
+    """
+    try:
+        factor = asm.bordered_factorization(asm.weighted_stiffness(*weights))
+    except ConvergenceError:
+        pass
+    else:
+        step = asm.bordered_solve(factor, -grad)
+        del factor  # not kept through the next factorization, which sets the peak memory
+        if float(grad @ step) < 0.0:
+            return step
+    return -asm.solve_neumann(grad)
+
+
+def _stationarity(asm, grads, vals, p: float, q: float, eps: float, scale: float = 1.0):
+    """(E, lhs, rhs, weak residual of lhs = rhs) from a field's cell arrays,
+    with E = int |grad u|^p, lhs its p-form and rhs = E * scale * q-form."""
+    energy = _energy_from_gradients(asm, grads, p)
+    lhs = _p_form_from_gradients(asm, grads, p, eps)
+    rhs = energy * scale * _q_form_from_values(asm, vals, q)
+    return energy, lhs, rhs, _weak_residual(asm, lhs, rhs)
+
+
+def _eigenpair(
+    mesh: Mesh, values: np.ndarray, p: float, q: float, iterations: int, diagnostics: dict
+) -> EigenPair:
+    """The returned pair: the sign-normalized field, its lambda and residuals."""
+    u = ScalarField(mesh, _sign_normalize(values))
+    lam = rayleigh_quotient(u, p, q)
+    return EigenPair(
+        lam=lam,
+        u=u,
+        weak_residual=check_weak_residual(u, lam, p, q),
+        constraint_residual=abs(constraint_value(u, q)),
+        iterations=iterations,
+        diagnostics=diagnostics,
+    )
+
+
 def solve_p_laplace_source(
     mesh: Mesh,
     p: float,
@@ -188,20 +233,8 @@ def solve_p_laplace_source(
         w1 = sq ** ((p - 2.0) / 2.0)
         w2 = (p - 2.0) * sq ** ((p - 4.0) / 2.0)
         rank_rows = np.einsum("cik,ci->ck", asm.grads, g)  # d_c = G^T g
-        # The Hessian is not bound to a name, so it is freed once its band
-        # is filled; kept into the next step, it left peak memory 10 MB
-        # higher in half of the res-128 benchmark runs.
-        try:
-            lu = asm.bordered_factorization(asm.weighted_stiffness(w1, w2, rank_rows))
-        except ConvergenceError:  # Cholesky found the Hessian indefinite
-            slope = 0.0
-        else:
-            direction = asm.bordered_solve(lu, -grad_vec)
-            slope = float(grad_vec @ direction)
-            del lu  # not kept through the next factorization, which sets the peak memory
-        if slope >= 0.0:  # numerically indefinite Hessian; fall back to descent
-            direction = -asm.solve_neumann(grad_vec)
-            slope = float(grad_vec @ direction)
+        direction = _weighted_step(asm, grad_vec, w1, w2, rank_rows)
+        slope = float(grad_vec @ direction)
         if at_float_floor(-slope):
             return ScalarField(mesh, v)
         t = 1.0
@@ -290,12 +323,9 @@ def inverse_iteration(
         mu = s ** (-(p - 1.0))
         w = zv / s
         grads, vals = asm.gradients(w), asm.quad_values(w)
-        energy_prev = _energy_from_gradients(asm, grads, p)
         cres = abs(_constraint_from_values(asm, vals, 2.0))
-        lhs = _p_form_from_gradients(asm, grads, p)
-        norm_term = energy_prev * _lq_norm_from_values(asm, vals, 2.0) ** (p - 2.0)
-        rhs = norm_term * _q_form_from_values(asm, vals, 2.0)
-        resid = _weak_residual(asm, lhs, rhs)
+        scale = _lq_norm_from_values(asm, vals, 2.0) ** (p - 2.0)
+        energy_prev, lhs, rhs, resid = _stationarity(asm, grads, vals, p, 2.0, 0.0, scale)
         resid_dual = asm.dual_norm(lhs - rhs) / asm.dual_norm(rhs)
         trace.append(
             IterationState(
@@ -334,18 +364,8 @@ def inverse_iteration(
             f"(last weak residual {resid:.3e})"
         )
 
-    values = _sign_normalize(w)
-    u = ScalarField(mesh, values / _lq_norm_from_values(asm, asm.quad_values(values), 2.0))
-    lam = rayleigh_quotient(u, p, 2.0)
-    pair = EigenPair(
-        lam=lam,
-        u=u,
-        weak_residual=check_weak_residual(u, lam, p, 2.0),
-        constraint_residual=abs(constraint_value(u, 2.0)),
-        iterations=iteration,
-        diagnostics={"mu_final": trace[-1].mu},
-    )
-    return pair, trace
+    u = w / _lq_norm_from_values(asm, asm.quad_values(w), 2.0)
+    return _eigenpair(mesh, u, p, 2.0, iteration, {"mu_final": trace[-1].mu}), trace
 
 
 def _ray_quotient(asm, ray, t: float, p: float, q: float, shift: float) -> tuple[float, float]:
@@ -379,10 +399,10 @@ def minimize_rayleigh(
     First-order projected descent: each step solves a linear Neumann
     problem for the quotient gradient (plain stiffness at p = 2, the
     lagged |grad u|^(p-2)-weighted stiffness otherwise, or the plain
-    stiffness where that block breaks down numerically), minimizes the
-    re-projected quotient along the ray, and renormalizes.  Line-search
-    trials combine cell gradients and quadrature values of u and the
-    direction, computed once per step.  Converged when the weak residual
+    stiffness where that block breaks down or its step does not descend),
+    minimizes the re-projected quotient along the ray, and renormalizes.
+    Line-search trials combine cell gradients and quadrature values of u and
+    the direction, computed once per step.  Converged when the weak residual
     drops below ``tol``; stagnation raises instead of returning a
     non-stationary pair.
     """
@@ -408,10 +428,8 @@ def minimize_rayleigh(
     for iteration in range(1, max_iter + 1):
         grad_u = asm.gradients(u)
         vals_u = asm.quad_values(u)
-        rayleigh = _energy_from_gradients(asm, grad_u, p)  # ||u||_q = 1 after normalization
-        kp = _p_form_from_gradients(asm, grad_u, p, eps=eps)
-        rhs = rayleigh * _q_form_from_values(asm, vals_u, q)
-        resid = _weak_residual(asm, kp, rhs)
+        # ||u||_q = 1 after normalization, so the energy is the quotient.
+        rayleigh, kp, rhs, resid = _stationarity(asm, grad_u, vals_u, p, q, eps)
         history.append((rayleigh, resid, abs(_constraint_from_values(asm, vals_u, q))))
         if resid <= tol:
             break
@@ -434,25 +452,10 @@ def minimize_rayleigh(
             # strangles the step size; stale weights are nearly as bad.
             sq = np.einsum("ci,ci->c", grad_u, grad_u)
             floor = 1e-12 * (float(np.mean(sq)) or 1.0)
-            weights = (sq + floor) ** ((p - 2.0) / 2.0)
-            try:
-                lagged = asm.bordered_factorization(asm.weighted_stiffness(weights))
-            except ConvergenceError:
-                # Cholesky found the lagged block numerically singular (the
-                # tip's round-off); precondition with the stiffness, as
-                # route B's Newton step does.
-                direction = -asm.solve_neumann(grad_r)
-            else:
-                direction = asm.bordered_solve(lagged, -grad_r)
-                del lagged  # not kept through the next factorization, which sets the peak memory
-        if float(grad_r @ direction) >= 0.0:
-            direction = -asm.zero_mean(grad_r)
+            direction = _weighted_step(asm, grad_r, (sq + floor) ** ((p - 2.0) / 2.0))
         # Unit M-norm direction: t becomes a rotation scale comparable
         # across iterations even on strongly anisotropic meshes.
-        dir_scale = math.sqrt(max(direction @ (asm.mass @ direction), 0.0))
-        if dir_scale == 0.0:
-            break
-        direction = direction / dir_scale
+        direction = direction / math.sqrt(max(direction @ (asm.mass @ direction), 0.0))
 
         # Trials combine these cell arrays; the polish and the accepted
         # step stay on nodal vectors, which the stopping test measures.
@@ -467,8 +470,7 @@ def minimize_rayleigh(
         def residual_along(t: float) -> float:
             candidate = normalized(u + t * direction)
             grads, vals = asm.gradients(candidate), asm.quad_values(candidate)
-            rhs = _energy_from_gradients(asm, grads, p) * _q_form_from_values(asm, vals, q)
-            return _weak_residual(asm, _p_form_from_gradients(asm, grads, p, eps), rhs)
+            return _stationarity(asm, grads, vals, p, q, eps)[3]
 
         # Find a descending step scale, widen while improving, then refine.
         # An Armijo-first step keeps the stiffest modes undamped, so the
@@ -522,17 +524,7 @@ def minimize_rayleigh(
             f"iterations (last residual {resid:.3e})"
         )
 
-    values = _sign_normalize(u)
-    field_u = ScalarField(mesh, values)
-    lam = rayleigh_quotient(field_u, p, q)
-    return EigenPair(
-        lam=lam,
-        u=field_u,
-        weak_residual=check_weak_residual(field_u, lam, p, q),
-        constraint_residual=abs(constraint_value(field_u, q)),
-        iterations=iteration,
-        diagnostics={"history": history},
-    )
+    return _eigenpair(mesh, u, p, q, iteration, {"history": history})
 
 
 def solve_eigenpair(
@@ -544,6 +536,8 @@ def solve_eigenpair(
     for its multiplier drift to fall below tol / 100, floored at 1e-10.
     Returns the pair and the inverse-iteration trace, empty for route A.
     """
+    if not tol > 0.0:
+        raise ValueError(f"requires tol > 0, got tol={tol:g}")
     if method == "minimize":
         return minimize_rayleigh(mesh, p, q, tol=tol), []
     if method == "iterate":

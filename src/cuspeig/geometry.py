@@ -20,6 +20,7 @@ structured mesh of the reference cone through this map.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -304,45 +305,25 @@ def _graded_levels(resolution: int, tip: float) -> np.ndarray:
 def _grid_cells(shape: tuple[int, ...]) -> np.ndarray:
     """Kuhn simplices of a structured grid with `shape` nodes per axis.
 
-    Every box is split along its main diagonal (2 triangles in 2-D, 6
-    tetrahedra in 3-D), which is conforming across neighboring boxes.
+    Every box is split along its main diagonal into one simplex per axis
+    permutation, the path from the low corner that steps along the axes in
+    that order (2 triangles in 2-D, 6 tetrahedra in 3-D).  The split is
+    conforming across neighboring boxes.
     """
-    dim = len(shape)
     idx = np.arange(int(np.prod(shape))).reshape(shape)
-    if dim == 2:
-        v00 = idx[:-1, :-1].ravel()
-        v10 = idx[1:, :-1].ravel()
-        v01 = idx[:-1, 1:].ravel()
-        v11 = idx[1:, 1:].ravel()
-        tris = np.concatenate(
-            [
-                np.stack([v00, v10, v11], axis=1),
-                np.stack([v00, v11, v01], axis=1),
-            ]
-        )
-        return tris.astype(np.int64)
-    if dim == 3:
-        corner = {}
-        for s1 in (0, 1):
-            for s2 in (0, 1):
-                for s3 in (0, 1):
-                    corner[(s1, s2, s3)] = idx[
-                        s1 : shape[0] - 1 + s1,
-                        s2 : shape[1] - 1 + s2,
-                        s3 : shape[2] - 1 + s3,
-                    ].ravel()
-        import itertools
 
-        tets = []
-        for perm in itertools.permutations(range(3)):
-            path = [(0, 0, 0)]
-            for axis in perm:
-                nxt = list(path[-1])
-                nxt[axis] += 1
-                path.append(tuple(nxt))
-            tets.append(np.stack([corner[c] for c in path], axis=1))
-        return np.concatenate(tets).astype(np.int64)
-    raise GeometryError(f"no grid splitting for dimension {dim}")
+    def corner(offset):
+        return idx[tuple(slice(s, n - 1 + s) for s, n in zip(offset, shape))].ravel()
+
+    simplices = []
+    for perm in itertools.permutations(range(len(shape))):
+        offset = [0] * len(shape)
+        path = [corner(offset)]
+        for axis in perm:
+            offset[axis] = 1
+            path.append(corner(offset))
+        simplices.append(np.stack(path, axis=1))
+    return np.concatenate(simplices).astype(np.int64)
 
 
 def _collapsed_grid_mesh(

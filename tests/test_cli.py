@@ -1,5 +1,6 @@
 import json
 import math
+import time
 from pathlib import Path
 
 import jsonschema
@@ -154,6 +155,61 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert err.startswith("configuration error:")
         assert str(missing) in err
+
+
+class TestInputChecks:
+    """Inputs that exit 2 before any solve, with a message naming the flag."""
+
+    @staticmethod
+    def output(command, path):
+        return ["--csv", path] if command == "sweep" else ["--json", path]
+
+    @pytest.mark.parametrize("flag, value", [("--resolution-grid", "8.7"), ("--gamma-grid", "")])
+    def test_sweep_grid_values(self, tmp_path, capsys, flag, value):
+        csv_path = tmp_path / "sweep.csv"
+        with pytest.raises(SystemExit) as info:
+            run_cli(["sweep", flag, value, "--csv", csv_path])
+        assert info.value.code == 2
+        assert flag in capsys.readouterr().err
+        assert not csv_path.exists()
+
+    @pytest.mark.parametrize("command", ["solve", "sweep"])
+    @pytest.mark.parametrize("tol", [0, -1])
+    def test_nonpositive_tol(self, tmp_path, capsys, command, tol):
+        out = tmp_path / "out"
+        assert run_cli([command, "--tol", tol] + self.output(command, out)) == 2
+        assert "requires tol > 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "args, p_star",
+        [
+            (["solve", "--domain", "cusp", "--gammas", 2, "--p", 2, "--q", 9], "6"),
+            (["solve", "--domain", "cusp", "--gammas", "1.5,1.5", "--p", 2, "--q", 4], "4"),
+            (["solve", "--domain", "box", "--sides", "1,1", "--p", 1.5, "--q", 6], "6"),
+            (["sweep", "--gamma-grid", "1,2", "--q", 6], "6"),
+        ],
+    )
+    def test_supercritical_q_fails_fast(self, tmp_path, capsys, args, p_star):
+        # At q >= p*_gamma = gamma p / (gamma - p) the embedding of W^{1,p}
+        # into L^q is not compact and lambda = 0 (boxes have gamma = n).
+        out = tmp_path / "out"
+        start = time.perf_counter()
+        assert run_cli(args + self.output(args[0], out)) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert f"requires q < p*_gamma = {p_star} (no compact embedding; lambda = 0)" in err
+        assert not out.exists()
+
+    def test_no_ceiling_when_p_reaches_gamma(self, tmp_path):
+        # p >= gamma: W^{1,p} embeds into every L^q.
+        out = tmp_path / "solve.json"
+        code = run_cli(
+            ["solve", "--domain", "box", "--sides", "1,1", "--p", 2, "--q", 9,
+             "--resolution", 4, "--tol", 1e-3, "--json", out]
+        )
+        assert code == 0
+        assert json.loads(out.read_text())["result"]["lambda"] > 0.0
 
 
 def test_verify_fast_exit_zero(tmp_path, capsys):

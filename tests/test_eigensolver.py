@@ -330,6 +330,30 @@ def test_discrete_operator_monotone(cusp16):
     assert stats["min_ratio"] > 0.0
 
 
+@pytest.mark.parametrize("method", ["minimize", "iterate"])
+def test_non_descending_weighted_step_falls_back_to_stiffness(cusp16, monkeypatch, method):
+    # Every other solve through a weighted block (route A's lagged
+    # preconditioner, route B's Newton Hessian) is negated, so its step
+    # ascends and the stiffness step replaces it.  Negating all of them
+    # leaves either route on stiffness steps alone, which stall at p = 3.
+    reference, _ = ce.solve_eigenpair(cusp16, 3.0, 2.0, method, 1e-5)
+    solve = EnergyAssembly.bordered_solve
+    weighted = [0]
+
+    def ascends_every_other(self, lu, rhs):
+        x = solve(self, lu, rhs)
+        if lu is self._neumann_lu:
+            return x
+        weighted[0] += 1
+        return -x if weighted[0] % 2 == 1 else x
+
+    monkeypatch.setattr(EnergyAssembly, "bordered_solve", ascends_every_other)
+    pair, _ = ce.solve_eigenpair(cusp16, 3.0, 2.0, method, 1e-5)
+    assert weighted[0] >= 10
+    assert pair.weak_residual <= 1e-5
+    assert pair.lam == pytest.approx(reference.lam, rel=1e-9)
+
+
 def test_solve_eigenpair_rejects_unknown_method(square16):
     with pytest.raises(ValueError, match="unknown method 'newton'"):
         ce.solve_eigenpair(square16, 2.0, 2.0, "newton", 1e-6)
