@@ -326,6 +326,76 @@ def _grid_cells(shape: tuple[int, ...]) -> np.ndarray:
     return np.concatenate(simplices).astype(np.int64)
 
 
+def _cross_counts(
+    levels: np.ndarray, resolution: int, exponents: tuple[float, ...], a: float
+) -> np.ndarray:
+    """Cross cell counts per level and axis, (L, n - 1).
+
+    Walking down from the top level, every level below 1/(2 resolution)
+    halves one axis of the level above, taking the axes in turn, while
+    that axis's count is even and its halved cells, of width
+    2 t**(a g_i) / count, are no wider than the layer above them is high.
+    A cusp there is narrower than its level spacing, so finer cross cells
+    only add nodes in a region of O(level**gamma) volume.  A cone axis
+    (g_i = 1) stops halving where its cells reach that aspect ratio, so
+    the tip of a Lipschitz cone is not coarsened past it.
+    """
+    height = levels**a
+    width = levels[:, None] ** (a * np.asarray(exponents))
+    counts = np.full((levels.size, len(exponents)), resolution)
+    turn = 0
+    for lev in range(levels.size - 2, -1, -1):
+        counts[lev] = counts[lev + 1]
+        count = counts[lev, turn]
+        if (
+            levels[lev] < 0.5 / resolution
+            and count % 2 == 0
+            and 2.0 * width[lev, turn] / count <= height[lev + 1] - height[lev]
+        ):
+            counts[lev, turn] //= 2
+            turn = (turn + 1) % len(exponents)
+    return counts
+
+
+def _transition_cells(below: np.ndarray, above: np.ndarray) -> np.ndarray:
+    """Simplices between a level and the level above it, which has twice
+    the cells along one cross axis.
+
+    ``below`` and ``above`` are the two levels' node index grids.  In 2-D
+    each coarse cell k gets the triangles (b_k, t_2k+1, t_2k),
+    (b_k, b_k+1, t_2k+1) and (b_k+1, t_2k+2, t_2k+1).  In 3-D these
+    triangles are extruded along the axis that is not halved, and each
+    prism is split into three tetrahedra by the lowest-global-index
+    diagonal rule (Dompierre, Labbe, Vallet & Camarero, 1999).  Node indices
+    grow along every cross axis and with the level, so each quadrilateral
+    face's lowest index is the lower-indexed of its two nodes on the near
+    extrusion plane: ordering a prism's three columns by that index, the
+    staircase through them puts every face diagonal there.  Kuhn faces of
+    equal-count layers pass through the same lowest index, so the layers
+    meet conformingly.
+    """
+    axis = int(np.flatnonzero(np.array(above.shape) != np.array(below.shape))[0])
+    b = np.moveaxis(below, axis, 0)
+    t = np.moveaxis(above, axis, 0)
+    triangles = [
+        (b[:-1], t[1::2], t[:-1:2]),
+        (b[:-1], b[1:], t[1::2]),
+        (b[1:], t[2::2], t[1::2]),
+    ]
+    tri = np.concatenate([np.stack(v, axis=-1) for v in triangles])
+    if tri.ndim == 2:
+        return tri
+    # Prism columns over the extrusion axis: near side j, far side j + 1.
+    near = tri[:, :-1].reshape(-1, 3)
+    far = tri[:, 1:].reshape(-1, 3)
+    rank = np.argsort(near, axis=1)
+    p, q, r = np.take_along_axis(near, rank, axis=1).T
+    pf, qf, rf = np.take_along_axis(far, rank, axis=1).T
+    return np.concatenate(
+        [np.stack(tet, axis=1) for tet in ((p, q, r, rf), (p, q, qf, rf), (p, pf, qf, rf))]
+    )
+
+
 def _collapsed_grid_mesh(
     exponents: tuple[float, ...],
     a: float,
@@ -336,22 +406,39 @@ def _collapsed_grid_mesh(
 
     A node with cross coordinates c_i and height t is sent to
     (c_1 t**(a g_1), ..., c_{n-1} t**(a g_{n-1}), t**a), i.e. the cusp map
-    applied to the collapsed reference grid.  Every Kuhn simplex stays
-    positively oriented for t >= tip > 0.
+    applied to the collapsed reference grid.  Each level t carries its own
+    cross grid (``_cross_counts``): ``resolution`` cells per axis down to
+    t = 1/(2 resolution), coarser below.  Nodes are numbered level by level
+    with the cross indices increasing.  Layers between equal cross grids
+    get the Kuhn split of ``_grid_cells``, one block per run of equal
+    levels; a layer where the grid halves gets ``_transition_cells``.
+    Every simplex stays positively oriented for t >= tip > 0, and the mesh
+    covers the same domain at any cross resolution: between two levels the
+    cusp's side faces are planar.
     """
     n = len(exponents) + 1
-    cross = np.linspace(0.0, 1.0, resolution + 1)
     levels = _graded_levels(resolution, tip)
-    axes = [cross] * (n - 1) + [levels]
-    shape = tuple(len(ax) for ax in axes)
-    grids = np.meshgrid(*axes, indexing="ij")
-    t = grids[-1].ravel()
-    nodes = np.empty((t.size, n))
-    for i, g in enumerate(exponents):
-        nodes[:, i] = grids[i].ravel() * t ** (a * g)
-    nodes[:, -1] = t**a
-    cells = _grid_cells(shape)
-    cells, vols = _orient_and_check(nodes, cells)
+    counts = _cross_counts(levels, resolution, exponents, a)
+    starts = np.flatnonzero(np.r_[True, np.any(counts[1:] != counts[:-1], axis=1)])
+    nodes, cells = [], []
+    top = None
+    for lo, hi in zip(starts, np.r_[starts[1:], levels.size]):
+        axes = [levels[lo:hi]] + [np.linspace(0.0, 1.0, c + 1) for c in counts[lo]]
+        grids = np.meshgrid(*axes, indexing="ij")
+        offset = sum(len(block) for block in nodes)
+        idx = offset + np.arange(grids[0].size).reshape(grids[0].shape)
+        t = grids[0].ravel()
+        block = np.empty((t.size, n))
+        for i, g in enumerate(exponents):
+            block[:, i] = grids[i + 1].ravel() * t ** (a * g)
+        block[:, -1] = t**a
+        nodes.append(block)
+        if top is not None:
+            cells.append(_transition_cells(top, idx[0]))
+        cells.append(offset + _grid_cells(idx.shape))
+        top = idx[-1]
+    nodes = np.concatenate(nodes)
+    cells, vols = _orient_and_check(nodes, np.concatenate(cells))
     return Mesh(nodes=nodes, cells=cells, volumes=vols)
 
 

@@ -453,6 +453,17 @@ def test_2d_factor_is_backward_stable_like_superlu(cusp_g2_res32):
     assert backward_error(ours.solve(rhs)) <= 1e-14
 
 
+def test_2d_grounded_solve_is_accurate_on_the_cusp(cusp_domain_2d, rng):
+    # The projected relative residual read 2.0e-7 while every tip level
+    # kept the full cross grid, whose cells are 1e-8 as wide as they are
+    # high; the coarse tip brings it to about 1e-10.
+    mesh = ce.mesh_cusp(cusp_domain_2d, 1.0, 64)
+    asm = assembly(mesh)
+    load = asm.project_load(asm.mass @ rng.uniform(-1.0, 1.0, mesh.num_nodes))
+    residual = load - asm.stiffness @ asm.solve_neumann(load)
+    assert np.linalg.norm(residual) <= 1e-9 * np.linalg.norm(load)
+
+
 @pytest.mark.parametrize(
     "make_mesh, per_level",
     [
@@ -464,7 +475,8 @@ def test_2d_factor_is_backward_stable_like_superlu(cusp_g2_res32):
     ids=["cusp2d_res32", "square_res16", "cusp3d_res12", "cube_res16"],
 )
 def test_band_is_one_level_wide(make_mesh, per_level):
-    # Level order keeps every Kuhn edge within one level block of the band.
+    # Level order keeps every edge within one level block of the band, and
+    # the top level is the largest.
     asm = assembly(make_mesh())
     factor = asm.bordered_factorization(asm.stiffness)
     assert factor.U.offsets.max() == per_level

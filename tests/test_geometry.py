@@ -111,6 +111,39 @@ def test_mesh_cusp_identity_equals_reference():
     np.testing.assert_array_equal(ref.cells, cusp.cells)
 
 
+@pytest.mark.parametrize(
+    "gammas, res, tip_cells, full_tube_volume",
+    [
+        ((1.0,), 16, 8, 0.4999999999994999),
+        ((2.0,), 16, 1, 0.3338932855576654),
+        ((1.0,), 96, 6, 0.49999999999949996),
+        ((2.0,), 96, 3, 0.333350654024692),
+        ((1.5, 1.5), 8, 1, 0.2508761888599034),
+        ((2.0, 1.5), 6, 3, 0.22358002972624988),
+    ],
+)
+def test_mesh_cusp_coarse_tip_is_conforming(gammas, res, tip_cells, full_tube_volume):
+    # Below x_n = 1/(2 res) each level halves one cross axis while it is
+    # even, so 96 = 3 * 32 stops at 3 cells per axis; on the cone (g = 1)
+    # halving stops where the cells get wider than the layers are high,
+    # at 8 and 6 cells.  The volumes are those of the mesh that kept res
+    # cells per axis on every level (commit 37cdd6c): between two levels
+    # the side faces are planar, so the coarse tip covers the same domain.
+    mesh = ce.mesh_cusp(ce.CuspDomain(gammas), 1.0, res)
+    x = mesh.nodes
+    height = x[:, -1]
+    assert np.count_nonzero(height == height.min()) == (tip_cells + 1) ** (mesh.n - 1)
+    facets = np.concatenate([np.delete(mesh.cells, k, axis=1) for k in range(mesh.n + 1)])
+    facets, shared = np.unique(np.sort(facets, axis=1), axis=0, return_counts=True)
+    assert shared.max() == 2
+    faces = [height == height.min(), height == 1.0]
+    for i, g in enumerate(gammas):
+        faces += [x[:, i] == 0.0, np.isclose(x[:, i], height**g, rtol=1e-14, atol=0.0)]
+    outer = facets[shared == 1]
+    assert np.all(np.any([np.all(face[outer], axis=1) for face in faces], axis=0))
+    assert mesh.volume == pytest.approx(full_tube_volume, rel=1e-14)
+
+
 def test_mesh_cusp_volume_convergence(cusp_domain_2d):
     from cuspeig.verification import mesh_volume_orders
 

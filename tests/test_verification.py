@@ -79,6 +79,22 @@ class TestLinearOracle:
         assert lam_min == pytest.approx(oracle, rel=1e-6)
         assert pair.lam == pytest.approx(oracle, rel=1e-6)
 
+    def test_cusp3d_matches_full_tube_mesh(self):
+        # Ritz value at commit 37cdd6c, whose mesh kept res cells per cross
+        # axis on every level; the coarse tip moves it by 1.9e-10.
+        mesh = ce.mesh_cusp(ce.CuspDomain((1.5, 1.5)), 1.0, 8)
+        lam = ce.oracle_linear_eigen(mesh).lambda_oracle
+        assert lam == pytest.approx(10.667121587730199, rel=1e-9)
+
+    def test_cusp_route_a_pinned_and_agrees(self, cusp_g2_res32):
+        # Route A's value at commit 37cdd6c (full cross grid on every
+        # level).  There the oracle sat 3.7e-8 above it, from the inexact
+        # grounded solves of the tip cells.
+        lam = ce.minimize_rayleigh(cusp_g2_res32, 2.0, 2.0, tol=1e-8).lam
+        assert lam == pytest.approx(11.214937719324382, rel=1e-10)
+        oracle = ce.oracle_linear_eigen(cusp_g2_res32).lambda_oracle
+        assert abs(lam - oracle) <= 1e-9 * oracle
+
     def test_node_limit(self):
         mesh = ce.mesh_box(ce.BoxDomain((1.0, 1.0)), 160)
         with pytest.raises(ValueError, match="nodes"):
