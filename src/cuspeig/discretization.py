@@ -208,9 +208,10 @@ class EnergyAssembly:
         ``order`` lists the free unknowns in band order and ``rank`` inverts
         it.  Free nodes are ordered by x_n, then by their cross coordinates
         in descending order.  Every edge of the collapsed-grid mesh stays
-        within one level or joins adjacent ones, so it spans at most one level block and the
-        half-bandwidth is the node count of the largest level.  A mesh
-        without that structure gets a wider band, not a wrong one.
+        within one level or joins adjacent ones, so it spans at most one
+        level block and the half-bandwidth is the node count of the largest
+        level.  A mesh without that structure gets a wider band, not a
+        wrong one.
         """
         *_, indices, indptr = self._scatter_plan
         size = self.free.size
@@ -252,8 +253,8 @@ class EnergyAssembly:
         factors it in level order (see ``_grounded_band``), in about N b^2
         flops with no symbolic phase (the envelope method; George & Liu,
         1981); the half-bandwidth b is the largest level's node count,
-        res + 1 in 2-D.  A block that is not numerically positive definite raises
-        :class:`ConvergenceError`.
+        res + 1 in 2-D.  A block that is not numerically positive definite
+        raises :class:`ConvergenceError`.
         """
         *_, indices, indptr = self._scatter_plan
         if not (

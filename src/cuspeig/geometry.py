@@ -35,6 +35,11 @@ TIP_RADIUS = 1e-6
 # Geometric growth factor of x_n level spacings away from the tip.
 GRADING_RATIO = 1.2
 
+# Cusp meshes coarsen their cross grid below x_n = COARSE_TIP / resolution.
+# At 1/2 the 3-D (1.5, 1.5) resolution-6 cusp's p = 3 lambda moved 5.5e-9
+# from the full cross grid; at 1/4 it moves 4.6e-11.
+COARSE_TIP = 0.25
+
 
 class GeometryError(ValueError):
     """Invalid domain data or a degenerate mesh."""
@@ -331,29 +336,31 @@ def _cross_counts(
 ) -> np.ndarray:
     """Cross cell counts per level and axis, (L, n - 1).
 
-    Walking down from the top level, every level below 1/(2 resolution)
-    halves one axis of the level above, taking the axes in turn, while
-    that axis's count is even and its halved cells, of width
-    2 t**(a g_i) / count, are no wider than the layer above them is high.
+    Walking down from the top level, every level with x_n below
+    COARSE_TIP / resolution halves one axis of the level above: the next
+    axis in turn whose count is even and whose halved cells, of width
+    2 x_n**g_i / count, are no wider than the layer above them is high.
+    A level where no axis qualifies keeps the counts of the level above.
     A cusp there is narrower than its level spacing, so finer cross cells
-    only add nodes in a region of O(level**gamma) volume.  A cone axis
+    only add nodes in a region of O(x_n**gamma) volume.  A cone axis
     (g_i = 1) stops halving where its cells reach that aspect ratio, so
     the tip of a Lipschitz cone is not coarsened past it.
     """
     height = levels**a
-    width = levels[:, None] ** (a * np.asarray(exponents))
-    counts = np.full((levels.size, len(exponents)), resolution)
+    width = height[:, None] ** np.asarray(exponents)
+    axes = len(exponents)
+    counts = np.full((levels.size, axes), resolution)
     turn = 0
     for lev in range(levels.size - 2, -1, -1):
         counts[lev] = counts[lev + 1]
-        count = counts[lev, turn]
-        if (
-            levels[lev] < 0.5 / resolution
-            and count % 2 == 0
-            and 2.0 * width[lev, turn] / count <= height[lev + 1] - height[lev]
-        ):
-            counts[lev, turn] //= 2
-            turn = (turn + 1) % len(exponents)
+        if height[lev] >= COARSE_TIP / resolution:
+            continue
+        for axis in np.roll(np.arange(axes), -turn):
+            count = counts[lev, axis]
+            if count % 2 == 0 and 2.0 * width[lev, axis] / count <= height[lev + 1] - height[lev]:
+                counts[lev, axis] //= 2
+                turn = (axis + 1) % axes
+                break
     return counts
 
 
@@ -408,9 +415,9 @@ def _collapsed_grid_mesh(
     (c_1 t**(a g_1), ..., c_{n-1} t**(a g_{n-1}), t**a), i.e. the cusp map
     applied to the collapsed reference grid.  Each level t carries its own
     cross grid (``_cross_counts``): ``resolution`` cells per axis down to
-    t = 1/(2 resolution), coarser below.  Nodes are numbered level by level
-    with the cross indices increasing.  Layers between equal cross grids
-    get the Kuhn split of ``_grid_cells``, one block per run of equal
+    x_n = COARSE_TIP / resolution, coarser below.  Nodes are numbered level
+    by level with the cross indices increasing.  Layers between equal cross
+    grids get the Kuhn split of ``_grid_cells``, one block per run of equal
     levels; a layer where the grid halves gets ``_transition_cells``.
     Every simplex stays positively oriented for t >= tip > 0, and the mesh
     covers the same domain at any cross resolution: between two levels the

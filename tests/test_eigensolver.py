@@ -259,6 +259,13 @@ class TestMinimizeRayleigh:
         pair = ce.minimize_rayleigh(mesh, 3.0, 2.0, tol=1e-3)
         assert pair.lam >= ce.lambda_32_lower_bound(1.5, 1.5)
 
+    def test_cusp3d_res6_matches_full_tube_mesh(self):
+        # Value at tol 1e-8 at commit 37cdd6c, whose mesh kept res cells per
+        # cross axis on every level; the coarse tip moves it by 4.6e-11.
+        mesh = ce.mesh_cusp(ce.CuspDomain((1.5, 1.5)), 1.0, 6)
+        lam = ce.minimize_rayleigh(mesh, 3.0, 2.0, tol=1e-6).lam
+        assert lam == pytest.approx(72.21080875055748, rel=1e-9)
+
     def test_rejects_constant_start(self, square16):
         u0 = ce.ScalarField(square16, np.full(square16.num_nodes, 2.0))
         with pytest.raises(ValueError, match="nonconstant"):

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 import cuspeig as ce
-from cuspeig.geometry import GeometryError, quadrature_rule
+from cuspeig.geometry import (
+    COARSE_TIP,
+    TIP_RADIUS,
+    GeometryError,
+    _cross_counts,
+    _graded_levels,
+    quadrature_rule,
+)
 
 
 def test_gamma_of_lipschitz():
@@ -114,25 +121,27 @@ def test_mesh_cusp_identity_equals_reference():
 @pytest.mark.parametrize(
     "gammas, res, tip_cells, full_tube_volume",
     [
-        ((1.0,), 16, 8, 0.4999999999994999),
-        ((2.0,), 16, 1, 0.3338932855576654),
-        ((1.0,), 96, 6, 0.49999999999949996),
-        ((2.0,), 96, 3, 0.333350654024692),
-        ((1.5, 1.5), 8, 1, 0.2508761888599034),
-        ((2.0, 1.5), 6, 3, 0.22358002972624988),
+        ((1.0,), 16, (8,), 0.4999999999994999),
+        ((2.0,), 16, (1,), 0.3338932855576654),
+        ((1.0,), 96, (6,), 0.49999999999949996),
+        ((2.0,), 96, (3,), 0.333350654024692),
+        ((1.5, 1.5), 8, (1, 1), 0.2508761888599034),
+        ((2.0, 1.5), 6, (3, 3), 0.22358002972624988),
+        ((2.0, 1.0), 8, (1, 8), 0.2511661708134807),
     ],
 )
 def test_mesh_cusp_coarse_tip_is_conforming(gammas, res, tip_cells, full_tube_volume):
-    # Below x_n = 1/(2 res) each level halves one cross axis while it is
-    # even, so 96 = 3 * 32 stops at 3 cells per axis; on the cone (g = 1)
-    # halving stops where the cells get wider than the layers are high,
-    # at 8 and 6 cells.  The volumes are those of the mesh that kept res
-    # cells per axis on every level (commit 37cdd6c): between two levels
-    # the side faces are planar, so the coarse tip covers the same domain.
+    # Below x_n = COARSE_TIP / res each level halves one cross axis while
+    # it is even, so 96 = 3 * 32 stops at 3 cells per axis; on the cone
+    # (g = 1) halving stops where the cells get wider than the layers are
+    # high, at 8 and 6 cells, and the cusp axis of (2, 1) goes on alone.
+    # The volumes are those of the mesh that kept res cells per axis on
+    # every level (commit 37cdd6c): between two levels the side faces are
+    # planar, so the coarse tip covers the same domain.
     mesh = ce.mesh_cusp(ce.CuspDomain(gammas), 1.0, res)
     x = mesh.nodes
     height = x[:, -1]
-    assert np.count_nonzero(height == height.min()) == (tip_cells + 1) ** (mesh.n - 1)
+    assert np.count_nonzero(height == height.min()) == np.prod(np.add(tip_cells, 1))
     facets = np.concatenate([np.delete(mesh.cells, k, axis=1) for k in range(mesh.n + 1)])
     facets, shared = np.unique(np.sort(facets, axis=1), axis=0, return_counts=True)
     assert shared.max() == 2
@@ -142,6 +151,20 @@ def test_mesh_cusp_coarse_tip_is_conforming(gammas, res, tip_cells, full_tube_vo
     outer = facets[shared == 1]
     assert np.all(np.any([np.all(face[outer], axis=1) for face in faces], axis=0))
     assert mesh.volume == pytest.approx(full_tube_volume, rel=1e-14)
+
+
+@pytest.mark.parametrize("a", [0.7, 1.0, 1.4])
+def test_cross_counts_start_below_x_n_threshold(a):
+    # The threshold is on x_n = t**a, not on the reference level t.
+    levels = _graded_levels(8, TIP_RADIUS)
+    counts = _cross_counts(levels, 8, (2.0, 1.0), a)
+    coarse = np.any(counts < 8, axis=1)
+    below = levels**a < COARSE_TIP / 8
+    assert not np.any(coarse & ~below)
+    assert coarse[np.flatnonzero(below)[-1]]
+    # The cone axis stops halving with 4 or 8 cells left; the cusp axis
+    # goes on alone down to one cell.
+    assert counts[0, 0] == 1 and counts[0, 1] >= 4
 
 
 def test_mesh_cusp_volume_convergence(cusp_domain_2d):

@@ -81,7 +81,7 @@ class TestLinearOracle:
 
     def test_cusp3d_matches_full_tube_mesh(self):
         # Ritz value at commit 37cdd6c, whose mesh kept res cells per cross
-        # axis on every level; the coarse tip moves it by 1.9e-10.
+        # axis on every level; the coarse tip moves it by 9.8e-13.
         mesh = ce.mesh_cusp(ce.CuspDomain((1.5, 1.5)), 1.0, 8)
         lam = ce.oracle_linear_eigen(mesh).lambda_oracle
         assert lam == pytest.approx(10.667121587730199, rel=1e-9)
