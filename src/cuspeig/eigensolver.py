@@ -368,22 +368,147 @@ def inverse_iteration(
     return _eigenpair(mesh, u, p, 2.0, iteration, {"mu_final": trace[-1].mu}), trace
 
 
-def _ray_quotient(asm, ray, t: float, p: float, q: float, shift: float) -> tuple[float, float]:
-    """Quotient of project_zero_mean(u + t d, q) and its shift, from cell arrays.
+def _quadratic(coeffs: tuple[float, float, float], t: float) -> tuple[float, float]:
+    """(f, f') of f(t) = a + 2 b t + c t^2."""
+    a, b, c = coeffs
+    return a + t * (2.0 * b + t * c), 2.0 * (b + t * c)
 
-    ``ray`` holds the cell gradients and quadrature values of u and d,
-    which are linear in the nodal values, so a trial needs no gather.
-    ``shift`` warm-starts the zero-(q-1)-mean root.
+
+class _Ray:
+    """phi(t) = E(t) / N(t)^(p/q) along u + t d, and phi'(t), from cell arrays.
+
+    E is the p-energy of u + t d and N = int |u + t d - c|^q with c its
+    zero-(q-1)-mean shift, so phi is the quotient of
+    project_zero_mean(u + t d, q).  Cell gradients and quadrature values
+    are linear in the nodal values, so the arrays of u and d, taken once
+    per step, give every trial without a gather.  ``trials`` counts the
+    calls.
     """
-    grad_u, grad_d, vals_u, vals_d = ray
-    grads = grad_u + t * grad_d
-    vals = vals_u + t * vals_d
-    if q == 2.0:
-        shift = asm.integrate_pointwise(vals) / asm.volume
+
+    def __init__(self, asm, grad_u, grad_d, vals_u, vals_d, p: float, q: float):
+        self.volumes, self.quad_w, self.p, self.q = asm.volumes, asm.quad_w, p, q
+        # |grad(u + t d)|^2 = a + 2 b t + c t^2 on every cell.
+        pairs = ((grad_u, grad_u), (grad_u, grad_d), (grad_d, grad_d))
+        self.cell_terms = tuple(np.einsum("ci,ci->c", x, y) for x, y in pairs)
+        self.vals = (vals_u, vals_d)
+        if p == 2.0:
+            self.energy_sums = tuple(float(self.volumes @ x) for x in self.cell_terms)
+        if q == 2.0:
+            # The shift is the mean, so N is quadratic in the centered values.
+            cu, cd = (v - asm.integrate_pointwise(v) / asm.volume for v in self.vals)
+            pairs = ((cu, cu), (cu, cd), (cd, cd))
+            self.norm_sums = tuple(asm.integrate_pointwise(x * y) for x, y in pairs)
+        # (t, c(t), c'(t)) of the last shift found; u has zero (q-1)-mean.
+        self.shift_at = (0.0, 0.0, 0.0)
+        self.trials = 0
+
+    def __call__(self, t: float) -> tuple[float, float]:
+        self.trials += 1
+        energy, d_energy = _quadratic(self.energy_sums, t) if self.p == 2.0 else self.cell_energy(t)
+        norm, d_norm = _quadratic(self.norm_sums, t) if self.q == 2.0 else self.shift_norm(t)
+        scale = norm ** (-self.p / self.q)
+        return energy * scale, (d_energy - self.p / self.q * energy * d_norm / norm) * scale
+
+    def cell_energy(self, t: float) -> tuple[float, float]:
+        """(E, E') with E' = p sum vol |g|^(p-2) g.g_d, g = grad(u + t d)."""
+        a, b, c = self.cell_terms
+        sq = np.maximum(a + t * (2.0 * b + t * c), 0.0)
+        mag = np.sqrt(sq)
+        if self.p < 2.0:
+            weight = np.zeros_like(mag)
+            nz = mag > 0.0
+            weight[nz] = mag[nz] ** (self.p - 2.0)
+        else:
+            weight = mag ** (self.p - 2.0)
+        weight *= self.volumes
+        return float(weight @ sq), self.p * float(weight @ (b + t * c))
+
+    def shift_norm(self, t: float) -> tuple[float, float]:
+        """(N, N') with N' = q int |v-c|^(q-2)(v-c) v_d, v = u + t d.
+
+        The shift's own derivative c' drops out of N': its coefficient
+        -q int |v-c|^(q-2)(v-c) is the constraint, which is zero.  The root
+        search starts from the first-order prediction off the last shift,
+        with c' = int |v-c|^(q-2) v_d / int |v-c|^(q-2) from the constraint.
+        """
+        vals_u, vals_d = self.vals
+        vals = vals_u + t * vals_d
+        at, shift, slope = self.shift_at
+        lo, hi = float(vals.min()), float(vals.max())
+        shift = _shift_root(vals, self.quad_w, self.q, shift + slope * (t - at), lo, hi)
+        shifted = vals - shift
+        flux = self.quad_w * np.copysign(np.abs(shifted) ** (self.q - 1.0), shifted)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # |v-c|^(q-2), NaN where v = c; a NaN prediction starts the
+            # next search at the bracket's midpoint.
+            weight = flux / shifted
+            slope = float(np.vdot(weight, vals_d) / weight.sum())
+        self.shift_at = (t, shift, slope)
+        return float(np.vdot(flux, shifted)), self.q * float(np.vdot(flux, vals_d))
+
+
+def _cubic_step(lo: tuple, hi: tuple) -> float:
+    """Minimizer of the cubic through two (t, phi, phi') triples (Nocedal &
+    Wright, Numerical Optimization, eq. 3.59); NaN if it has none."""
+    (a, fa, ga), (b, fb, gb) = lo, hi
+    d1 = ga + gb - 3.0 * (fa - fb) / (a - b)
+    disc = d1 * d1 - ga * gb
+    if not disc >= 0.0:
+        return math.nan
+    d2 = math.copysign(math.sqrt(disc), b - a)
+    denom = gb - ga + 2.0 * d2
+    return b - (b - a) * (gb + d2 - d1) / denom if denom != 0.0 else math.nan
+
+
+def _ray_minimum(ray: _Ray, value0: float, slope0: float, t: float) -> tuple[float, float]:
+    """(t, phi(t)) near the first minimizer of phi along the ray.
+
+    ``value0`` and ``slope0`` < 0 are phi(0) and phi'(0).  Doubles t until
+    phi' >= 0 or phi rises above phi(0), then narrows the bracket [lo, hi]
+    by the minimizer of the cubic through phi and phi' at its ends: the
+    secant root of phi' where that lies outside, bisection where neither
+    does or the bracket did not halve over the last two trials.  Stops once
+    |phi'(t)| t <= 2e-3 (phi(0) - phi(t)), which for a quadratic phi puts t
+    within 1e-3 of the minimizer, or the bracket is 1e-3 of hi wide.  A
+    safeguarded search on the derivative (More & Thuente, ACM TOMS 20
+    (1994)); phi' keeps its accuracy where phi is flat to round-off.
+    """
+    lo = (0.0, value0, slope0)
+    best_t, best_f = 0.0, value0
+    for _ in range(60):
+        value, slope = ray(t)
+        if value < best_f:
+            best_t, best_f = t, value
+        if slope >= 0.0 or value > value0:
+            break
+        if abs(slope) * t <= 2e-3 * (value0 - value):
+            return t, value
+        lo = (t, value, slope)
+        t *= 2.0
     else:
-        shift = _shift_root(vals, asm.quad_w, q, shift, float(vals.min()), float(vals.max()))
-    norm_q = _lq_norm_from_values(asm, vals - shift, q)
-    return _energy_from_gradients(asm, grads, p) / norm_q**p, shift
+        return best_t, best_f
+    hi = (t, value, slope)
+    before = last = math.inf  # bracket widths one and two trials back
+    for _ in range(40):
+        width = hi[0] - lo[0]
+        if width <= 1e-3 * hi[0]:
+            break
+        t = _cubic_step(lo, hi)
+        if not lo[0] < t < hi[0] and hi[2] >= 0.0:
+            t = lo[0] - lo[2] * width / (hi[2] - lo[2])
+        if not lo[0] < t < hi[0] or width > 0.5 * before:
+            t = lo[0] + 0.5 * width
+        before, last = last, width
+        value, slope = ray(t)
+        if value < best_f:
+            best_t, best_f = t, value
+        if abs(slope) * t <= 2e-3 * (value0 - value):
+            return t, value
+        if slope < 0.0 and value <= value0:
+            lo = (t, value, slope)
+        else:
+            hi = (t, value, slope)
+    return best_t, best_f
 
 
 def minimize_rayleigh(
@@ -401,10 +526,24 @@ def minimize_rayleigh(
     lagged |grad u|^(p-2)-weighted stiffness otherwise, or the plain
     stiffness where that block breaks down or its step does not descend),
     minimizes the re-projected quotient along the ray, and renormalizes.
-    Line-search trials combine cell gradients and quadrature values of u and
-    the direction, computed once per step.  Converged when the weak residual
-    drops below ``tol``; stagnation raises instead of returning a
-    non-stationary pair.
+    Converged when the weak residual drops below ``tol``; stagnation
+    raises instead of returning a non-stationary pair.
+
+    The line search looks for the root of phi'(t), where
+    phi(t) = E(t) / N(t)^(p/q) is the quotient of u + t d shifted to zero
+    (q-1)-mean, so phi' = (E' - (p/q) E N'/N) / N^(p/q) with
+    E' = p sum vol |g|^(p-2) g.g_d and N' = q int |v-c|^(q-2)(v-c) v_d.
+    The shift's derivative c' drops out of N' because its coefficient is
+    the constraint, which is zero.  Every trial combines cell gradients
+    and quadrature values of u and d taken once per step: at p = 2, E is a
+    quadratic in t from three sums, and at q = 2 the shift is the mean and
+    N a quadratic from the centered values.  phi'(0) is grad_r . d, known
+    before the first trial.  On the g = 2 cusps at p = 2 this takes 2.3-2.9
+    trials per step.  Where the quotient is flat to round-off along the
+    ray, a bounded search on the weak residual of the projected nodal
+    vectors (the polish) picks the step instead.  ``diagnostics`` counts
+    the trials (``ray_trials``) and the polish's residual evaluations
+    (``polish_evaluations``).
     """
     if not (p > 1.0 and q > 1.0):
         raise ValueError(f"requires p, q > 1, got p={p}, q={q}")
@@ -423,6 +562,7 @@ def minimize_rayleigh(
     history: list[tuple[float, float, float]] = []
     recent_resids: deque = deque(maxlen=25)
     t_prev = 1.0
+    ray_trials = polish_evaluations = 0
     resid = math.inf
     rayleigh = math.inf
     for iteration in range(1, max_iter + 1):
@@ -459,47 +599,17 @@ def minimize_rayleigh(
 
         # Trials combine these cell arrays; the polish and the accepted
         # step stay on nodal vectors, which the stopping test measures.
-        ray = (grad_u, asm.gradients(direction), vals_u, asm.quad_values(direction))
-        shift = 0.0  # u has zero (q-1)-mean
-
-        def quotient_along(t: float) -> float:
-            nonlocal shift
-            value, shift = _ray_quotient(asm, ray, t, p, q, shift)
-            return value
+        ray = _Ray(asm, grad_u, asm.gradients(direction), vals_u, asm.quad_values(direction), p, q)
 
         def residual_along(t: float) -> float:
+            nonlocal polish_evaluations
+            polish_evaluations += 1
             candidate = normalized(u + t * direction)
             grads, vals = asm.gradients(candidate), asm.quad_values(candidate)
             return _stationarity(asm, grads, vals, p, q, eps)[3]
 
-        # Find a descending step scale, widen while improving, then refine.
-        # An Armijo-first step keeps the stiffest modes undamped, so the
-        # minimum along the ray is bracketed instead.
-        t = min(max(t_prev, 1e-8), 4.0)
-        f_t = quotient_along(t)
-        for _ in range(60):
-            if f_t < rayleigh:
-                break
-            t *= 0.5
-            f_t = quotient_along(t)
-        best_t, best_f = t, f_t
-        t_hi = t
-        if f_t < rayleigh:
-            for _ in range(40):
-                t_hi *= 2.0
-                f_hi = quotient_along(t_hi)
-                if f_hi < best_f:
-                    best_t, best_f = t_hi, f_hi
-                else:
-                    break
-        refine = minimize_scalar(
-            quotient_along,
-            bounds=(0.0, t_hi),
-            method="bounded",
-            options={"xatol": 1e-3 * max(best_t, 1e-12)},
-        )
-        if float(refine.fun) < best_f:
-            best_t, best_f = float(refine.x), float(refine.fun)
+        t_start = min(max(t_prev, 1e-8), 4.0)
+        best_t, best_f = _ray_minimum(ray, rayleigh, float(grad_r @ direction), t_start)
         if rayleigh - best_f <= 1e-12 * rayleigh:
             # The quotient is flat to machine precision along the ray (its
             # error is quadratic in the eigenvector error), so steer by the
@@ -511,7 +621,8 @@ def minimize_rayleigh(
                 options={"xatol": 1e-3 * max(best_t, 1e-8)},
             )
             if float(polish.fun) < resid:
-                best_t, best_f = float(polish.x), quotient_along(float(polish.x))
+                best_t, best_f = float(polish.x), ray(float(polish.x))[0]
+        ray_trials += ray.trials
         # Freed here, not when the next step rebinds it: the next
         # factorization sets the peak memory.
         del ray
@@ -524,7 +635,12 @@ def minimize_rayleigh(
             f"iterations (last residual {resid:.3e})"
         )
 
-    return _eigenpair(mesh, u, p, q, iteration, {"history": history})
+    diagnostics = {
+        "history": history,
+        "ray_trials": ray_trials,
+        "polish_evaluations": polish_evaluations,
+    }
+    return _eigenpair(mesh, u, p, q, iteration, diagnostics)
 
 
 def solve_eigenpair(

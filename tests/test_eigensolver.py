@@ -11,7 +11,7 @@ import scipy.sparse.linalg as spla
 import cuspeig as ce
 from cuspeig import eigensolver
 from cuspeig.discretization import EnergyAssembly, assembly, p_form_apply
-from cuspeig.eigensolver import ConvergenceError, _ray_quotient
+from cuspeig.eigensolver import ConvergenceError, _quadratic, _Ray, _stationarity
 
 
 def zero_mean_field(mesh, values):
@@ -266,6 +266,25 @@ class TestMinimizeRayleigh:
         lam = ce.minimize_rayleigh(mesh, 3.0, 2.0, tol=1e-6).lam
         assert lam == pytest.approx(72.21080875055748, rel=1e-9)
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("q, tol", [(2.0, 1e-7), (3.0, 1e-6)])
+    def test_perturbed_start_converges(self, cusp_g2_res32, q, tol, seed):
+        # Without the residual polish these starts stagnate above tol: the
+        # quotient turns flat to round-off along the ray while the weak
+        # residual is still 1e-6 to 1e-5.
+        mesh = cusp_g2_res32
+        x = ce.default_initial_field(mesh).values
+        noise = np.random.default_rng(seed).uniform(-1.0, 1.0, mesh.num_nodes)
+        start = ce.ScalarField(mesh, x + 0.01 * np.max(np.abs(x)) * noise)
+        pair = ce.minimize_rayleigh(mesh, 2.0, q, u0=start, tol=tol, max_iter=22)
+        assert pair.weak_residual <= tol
+
+    def test_line_search_trials_per_step(self, cusp_g2_res32):
+        pair = ce.minimize_rayleigh(cusp_g2_res32, 2.0, 3.0, tol=1e-6)
+        # The last iteration stops before its line search.
+        assert pair.diagnostics["ray_trials"] <= 6 * (pair.iterations - 1)
+        assert pair.diagnostics["polish_evaluations"] > 0
+
     def test_rejects_constant_start(self, square16):
         u0 = ce.ScalarField(square16, np.full(square16.num_nodes, 2.0))
         with pytest.raises(ValueError, match="nonconstant"):
@@ -304,19 +323,39 @@ class TestMinimizeRayleigh:
 @pytest.mark.parametrize("q", [1.5, 2.0, 3.0, 4.0])
 @pytest.mark.parametrize("p", [2.0, 3.0])
 def test_ray_quotient_matches_nodal_path(cusp_g2_res32, rng, p, q):
-    # Route A's line-search trials evaluate the quotient from cell arrays of
-    # u and d; the nodal path projects u + t d and re-gathers.  Like route
-    # A's directions, d is a Neumann solve.
+    # Route A's line-search trials evaluate phi(t) and phi'(t) from cell
+    # arrays of u and d; the nodal path projects u + t d and re-gathers.
+    # Like route A's directions, d is a Neumann solve of unit M-norm.
     mesh = cusp_g2_res32
     asm = assembly(mesh)
     u = ce.project_zero_mean(ce.default_initial_field(mesh), q).values
+    u = u / ce.lq_norm(ce.ScalarField(mesh, u), q)
     d = asm.solve_neumann(asm.mass @ rng.uniform(-1.0, 1.0, mesh.num_nodes))
-    ray = (asm.gradients(u), asm.gradients(d), asm.quad_values(u), asm.quad_values(d))
-    shift = 0.0
+    d /= np.sqrt(d @ (asm.mass @ d))
+    grad_u, vals_u = asm.gradients(u), asm.quad_values(u)
+    ray = _Ray(asm, grad_u, asm.gradients(d), vals_u, asm.quad_values(d), p, q)
+
+    def nodal(t):
+        return ce.rayleigh_quotient(ce.project_zero_mean(ce.ScalarField(mesh, u + t * d), q), p, q)
+
+    # phi'(0) is route A's first slope, the quotient gradient along d.
+    _, kp, rhs, _ = _stationarity(asm, grad_u, vals_u, p, q, 0.0)
+    assert ray(0.0)[1] == pytest.approx(float(p * (kp - rhs) @ d), rel=1e-9)
+    h = 1e-4
     for t in (1e-6, 1e-3, 0.1, 1.0, 4.0):
-        value, shift = _ray_quotient(asm, ray, t, p, q, shift)
-        nodal = ce.project_zero_mean(ce.ScalarField(mesh, u + t * d), q)
-        assert value == pytest.approx(ce.rayleigh_quotient(nodal, p, q), rel=1e-12)
+        value, slope = ray(t)
+        assert value == pytest.approx(nodal(t), rel=1e-12)
+        # Five-point central difference, O(h^4).
+        stencil = 8.0 * (nodal(t + h) - nodal(t - h)) - (nodal(t + 2 * h) - nodal(t - 2 * h))
+        assert slope == pytest.approx(stencil / (12.0 * h), rel=1e-7, abs=1e-10 * value)
+        # The closed forms at p = 2 and q = 2 against the general branches.
+        if p == 2.0:
+            for closed, general in zip(_quadratic(ray.energy_sums, t), ray.cell_energy(t)):
+                assert closed == pytest.approx(general, rel=1e-12)
+        if q == 2.0:
+            for closed, general in zip(_quadratic(ray.norm_sums, t), ray.shift_norm(t)):
+                assert closed == pytest.approx(general, rel=1e-12)
+    assert ray.trials == 6
 
 
 @pytest.mark.parametrize("p", [2.0, 3.0])
