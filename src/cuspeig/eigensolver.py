@@ -368,12 +368,6 @@ def inverse_iteration(
     return _eigenpair(mesh, u, p, 2.0, iteration, {"mu_final": trace[-1].mu}), trace
 
 
-def _quadratic(coeffs: tuple[float, float, float], t: float) -> tuple[float, float]:
-    """(f, f') of f(t) = a + 2 b t + c t^2."""
-    a, b, c = coeffs
-    return a + t * (2.0 * b + t * c), 2.0 * (b + t * c)
-
-
 class _Ray:
     """phi(t) = E(t) / N(t)^(p/q) along u + t d, and phi'(t), from cell arrays.
 
@@ -386,26 +380,19 @@ class _Ray:
     """
 
     def __init__(self, asm, grad_u, grad_d, vals_u, vals_d, p: float, q: float):
-        self.volumes, self.quad_w, self.p, self.q = asm.volumes, asm.quad_w, p, q
+        self.asm, self.p, self.q = asm, p, q
         # |grad(u + t d)|^2 = a + 2 b t + c t^2 on every cell.
         pairs = ((grad_u, grad_u), (grad_u, grad_d), (grad_d, grad_d))
         self.cell_terms = tuple(np.einsum("ci,ci->c", x, y) for x, y in pairs)
         self.vals = (vals_u, vals_d)
-        if p == 2.0:
-            self.energy_sums = tuple(float(self.volumes @ x) for x in self.cell_terms)
-        if q == 2.0:
-            # The shift is the mean, so N is quadratic in the centered values.
-            cu, cd = (v - asm.integrate_pointwise(v) / asm.volume for v in self.vals)
-            pairs = ((cu, cu), (cu, cd), (cd, cd))
-            self.norm_sums = tuple(asm.integrate_pointwise(x * y) for x, y in pairs)
-        # (t, c(t), c'(t)) of the last shift found; u has zero (q-1)-mean.
-        self.shift_at = (0.0, 0.0, 0.0)
+        # Shift of the last trial; u has zero (q-1)-mean.
+        self.shift = 0.0
         self.trials = 0
 
     def __call__(self, t: float) -> tuple[float, float]:
         self.trials += 1
-        energy, d_energy = _quadratic(self.energy_sums, t) if self.p == 2.0 else self.cell_energy(t)
-        norm, d_norm = _quadratic(self.norm_sums, t) if self.q == 2.0 else self.shift_norm(t)
+        energy, d_energy = self.cell_energy(t)
+        norm, d_norm = self.shift_norm(t)
         scale = norm ** (-self.p / self.q)
         return energy * scale, (d_energy - self.p / self.q * energy * d_norm / norm) * scale
 
@@ -420,30 +407,26 @@ class _Ray:
             weight[nz] = mag[nz] ** (self.p - 2.0)
         else:
             weight = mag ** (self.p - 2.0)
-        weight *= self.volumes
+        weight *= self.asm.volumes
         return float(weight @ sq), self.p * float(weight @ (b + t * c))
 
     def shift_norm(self, t: float) -> tuple[float, float]:
         """(N, N') with N' = q int |v-c|^(q-2)(v-c) v_d, v = u + t d.
 
         The shift's own derivative c' drops out of N': its coefficient
-        -q int |v-c|^(q-2)(v-c) is the constraint, which is zero.  The root
-        search starts from the first-order prediction off the last shift,
-        with c' = int |v-c|^(q-2) v_d / int |v-c|^(q-2) from the constraint.
+        -q int |v-c|^(q-2)(v-c) is the constraint, which is zero.  The
+        shift is the mean at q = 2; otherwise its root search starts from
+        the last trial's shift.
         """
-        vals_u, vals_d = self.vals
+        asm, (vals_u, vals_d) = self.asm, self.vals
         vals = vals_u + t * vals_d
-        at, shift, slope = self.shift_at
-        lo, hi = float(vals.min()), float(vals.max())
-        shift = _shift_root(vals, self.quad_w, self.q, shift + slope * (t - at), lo, hi)
-        shifted = vals - shift
-        flux = self.quad_w * np.copysign(np.abs(shifted) ** (self.q - 1.0), shifted)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            # |v-c|^(q-2), NaN where v = c; a NaN prediction starts the
-            # next search at the bracket's midpoint.
-            weight = flux / shifted
-            slope = float(np.vdot(weight, vals_d) / weight.sum())
-        self.shift_at = (t, shift, slope)
+        if self.q == 2.0:
+            self.shift = asm.integrate_pointwise(vals) / asm.volume
+        else:
+            lo, hi = float(vals.min()), float(vals.max())
+            self.shift = _shift_root(vals, asm.quad_w, self.q, self.shift, lo, hi)
+        shifted = vals - self.shift
+        flux = asm.quad_w * np.copysign(np.abs(shifted) ** (self.q - 1.0), shifted)
         return float(np.vdot(flux, shifted)), self.q * float(np.vdot(flux, vals_d))
 
 
@@ -535,13 +518,11 @@ def minimize_rayleigh(
     E' = p sum vol |g|^(p-2) g.g_d and N' = q int |v-c|^(q-2)(v-c) v_d.
     The shift's derivative c' drops out of N' because its coefficient is
     the constraint, which is zero.  Every trial combines cell gradients
-    and quadrature values of u and d taken once per step: at p = 2, E is a
-    quadratic in t from three sums, and at q = 2 the shift is the mean and
-    N a quadratic from the centered values.  phi'(0) is grad_r . d, known
-    before the first trial.  On the g = 2 cusps at p = 2 this takes 2.3-2.9
-    trials per step.  Where the quotient is flat to round-off along the
-    ray, a bounded search on the weak residual of the projected nodal
-    vectors (the polish) picks the step instead.  ``diagnostics`` counts
+    and quadrature values of u and d taken once per step, and phi'(0) is
+    grad_r . d, known before the first trial.  Where the quotient is flat
+    to round-off along the ray, a bounded search on the weak residual of
+    the projected nodal vectors (the polish) picks the step instead.
+    ``diagnostics`` counts
     the trials (``ray_trials``) and the polish's residual evaluations
     (``polish_evaluations``).
     """

@@ -11,7 +11,7 @@ import scipy.sparse.linalg as spla
 import cuspeig as ce
 from cuspeig import eigensolver
 from cuspeig.discretization import EnergyAssembly, assembly, p_form_apply
-from cuspeig.eigensolver import ConvergenceError, _quadratic, _Ray, _stationarity
+from cuspeig.eigensolver import ConvergenceError, _Ray, _stationarity
 
 
 def zero_mean_field(mesh, values):
@@ -283,7 +283,6 @@ class TestMinimizeRayleigh:
         pair = ce.minimize_rayleigh(cusp_g2_res32, 2.0, 3.0, tol=1e-6)
         # The last iteration stops before its line search.
         assert pair.diagnostics["ray_trials"] <= 6 * (pair.iterations - 1)
-        assert pair.diagnostics["polish_evaluations"] > 0
 
     def test_rejects_constant_start(self, square16):
         u0 = ce.ScalarField(square16, np.full(square16.num_nodes, 2.0))
@@ -348,13 +347,6 @@ def test_ray_quotient_matches_nodal_path(cusp_g2_res32, rng, p, q):
         # Five-point central difference, O(h^4).
         stencil = 8.0 * (nodal(t + h) - nodal(t - h)) - (nodal(t + 2 * h) - nodal(t - 2 * h))
         assert slope == pytest.approx(stencil / (12.0 * h), rel=1e-7, abs=1e-10 * value)
-        # The closed forms at p = 2 and q = 2 against the general branches.
-        if p == 2.0:
-            for closed, general in zip(_quadratic(ray.energy_sums, t), ray.cell_energy(t)):
-                assert closed == pytest.approx(general, rel=1e-12)
-        if q == 2.0:
-            for closed, general in zip(_quadratic(ray.norm_sums, t), ray.shift_norm(t)):
-                assert closed == pytest.approx(general, rel=1e-12)
     assert ray.trials == 6
 
 
