@@ -1,7 +1,8 @@
 """Two routes to the first nontrivial Neumann (p,q)-eigenpair.
 
 Route A minimizes the Rayleigh quotient directly over the discrete zero
-(q-1)-mean class with preconditioned projected descent.  Route B (q = 2
+(q-1)-mean class by preconditioned Polak-Ribiere conjugate directions with
+projection onto the class after every step.  Route B (q = 2
 only) runs inverse power iteration: each step solves the p-Laplace problem
 with the previous normalized iterate as source, recovers the multiplier
 mu_n = ||z||_{L^2}^{-(p-1)} by p-homogeneity, and renormalizes.  Both the
@@ -375,19 +376,20 @@ class _Ray:
     zero-(q-1)-mean shift, so phi is the quotient of
     project_zero_mean(u + t d, q).  Cell gradients and quadrature values
     are linear in the nodal values, so the arrays of u and d, taken once
-    per step, give every trial without a gather.  ``trials`` counts the
-    calls.
+    per step, give every trial and every residual without a gather.
+    ``trials`` and ``residuals`` count the calls.
     """
 
-    def __init__(self, asm, grad_u, grad_d, vals_u, vals_d, p: float, q: float):
-        self.asm, self.p, self.q = asm, p, q
+    def __init__(self, asm, grad_u, grad_d, vals_u, vals_d, p: float, q: float, eps: float):
+        self.asm, self.p, self.q, self.eps = asm, p, q, eps
         # |grad(u + t d)|^2 = a + 2 b t + c t^2 on every cell.
         pairs = ((grad_u, grad_u), (grad_u, grad_d), (grad_d, grad_d))
         self.cell_terms = tuple(np.einsum("ci,ci->c", x, y) for x, y in pairs)
+        self.grads = (grad_u, grad_d)
         self.vals = (vals_u, vals_d)
         # Shift of the last trial; u has zero (q-1)-mean.
         self.shift = 0.0
-        self.trials = 0
+        self.trials = self.residuals = 0
 
     def __call__(self, t: float) -> tuple[float, float]:
         self.trials += 1
@@ -428,6 +430,16 @@ class _Ray:
         shifted = vals - self.shift
         flux = asm.quad_w * np.copysign(np.abs(shifted) ** (self.q - 1.0), shifted)
         return float(np.vdot(flux, shifted)), self.q * float(np.vdot(flux, vals_d))
+
+    def residual(self, t: float) -> float:
+        """Weak residual of u + t d shifted to zero (q-1)-mean and scaled to
+        unit L^q norm, the field that the accepted step would return."""
+        self.residuals += 1
+        norm = self.shift_norm(t)[0] ** (1.0 / self.q)
+        (grad_u, grad_d), (vals_u, vals_d) = self.grads, self.vals
+        grads = (grad_u + t * grad_d) / norm
+        vals = (vals_u + t * vals_d - self.shift) / norm
+        return _stationarity(self.asm, grads, vals, self.p, self.q, self.eps)[3]
 
 
 def _cubic_step(lo: tuple, hi: tuple) -> float:
@@ -504,11 +516,17 @@ def minimize_rayleigh(
 ) -> EigenPair:
     """Constrained Rayleigh-quotient minimization (route A).
 
-    First-order projected descent: each step solves a linear Neumann
-    problem for the quotient gradient (plain stiffness at p = 2, the
-    lagged |grad u|^(p-2)-weighted stiffness otherwise, or the plain
-    stiffness where that block breaks down or its step does not descend),
-    minimizes the re-projected quotient along the ray, and renormalizes.
+    Preconditioned nonlinear conjugate gradients with projection: each
+    step solves a linear Neumann problem for the preconditioned quotient
+    gradient z (plain stiffness at p = 2, the lagged |grad u|^(p-2)-weighted
+    stiffness otherwise, or the plain stiffness where that block breaks
+    down or its step does not descend), searches along
+    d = z + beta d_prev with the Polak-Ribiere
+    beta = max(0, g.(z - z_prev) / (g_prev.z_prev)), minimizes the
+    re-projected quotient along the ray, and renormalizes.  Where d does
+    not descend, or beta = 0, the step restarts along z.  This beta stays
+    valid when the preconditioner changes every step (Notay, SIAM J. Sci.
+    Comput. 22 (2000)).
     Converged when the weak residual drops below ``tol``; stagnation
     raises instead of returning a non-stationary pair.
 
@@ -520,11 +538,12 @@ def minimize_rayleigh(
     the constraint, which is zero.  Every trial combines cell gradients
     and quadrature values of u and d taken once per step, and phi'(0) is
     grad_r . d, known before the first trial.  Where the quotient is flat
-    to round-off along the ray, a bounded search on the weak residual of
-    the projected nodal vectors (the polish) picks the step instead.
-    ``diagnostics`` counts
-    the trials (``ray_trials``) and the polish's residual evaluations
-    (``polish_evaluations``).
+    to round-off along the ray, a bounded search on the weak residual
+    (the polish) picks the step instead; it evaluates the residual from
+    the same cell arrays, and only the accepted step is projected and
+    measured on nodal vectors.  ``diagnostics`` counts the trials
+    (``ray_trials``), the polish's residual evaluations
+    (``polish_evaluations``) and the steps along z alone (``restarts``).
     """
     if not (p > 1.0 and q > 1.0):
         raise ValueError(f"requires p, q > 1, got p={p}, q={q}")
@@ -543,7 +562,10 @@ def minimize_rayleigh(
     history: list[tuple[float, float, float]] = []
     recent_resids: deque = deque(maxlen=25)
     t_prev = 1.0
-    ray_trials = polish_evaluations = 0
+    # Quotient gradient, preconditioned step and search direction of the
+    # previous step, all unscaled.
+    g_prev = z_prev = d_prev = None
+    ray_trials = polish_evaluations = restarts = 0
     resid = math.inf
     rayleigh = math.inf
     for iteration in range(1, max_iter + 1):
@@ -565,7 +587,7 @@ def minimize_rayleigh(
         recent_resids.append(resid)
         grad_r = p * (kp - rhs)
         if p == 2.0:
-            direction = -asm.solve_neumann(grad_r)
+            step = -asm.solve_neumann(grad_r)
         else:
             # Lagged-weight preconditioner, rebuilt each step: the plain
             # stiffness misjudges the p-energy curvature by |grad u|^(p-2),
@@ -573,22 +595,27 @@ def minimize_rayleigh(
             # strangles the step size; stale weights are nearly as bad.
             sq = np.einsum("ci,ci->c", grad_u, grad_u)
             floor = 1e-12 * (float(np.mean(sq)) or 1.0)
-            direction = _weighted_step(asm, grad_r, (sq + floor) ** ((p - 2.0) / 2.0))
+            step = _weighted_step(asm, grad_r, (sq + floor) ** ((p - 2.0) / 2.0))
+        # Polak-Ribiere conjugate direction; the plain step where beta <= 0
+        # or the conjugate direction does not descend.
+        direction = step
+        if d_prev is not None:
+            beta = float(grad_r @ (step - z_prev)) / float(g_prev @ z_prev)
+            conjugate = step + beta * d_prev
+            if beta > 0.0 and float(grad_r @ conjugate) < 0.0:
+                direction = conjugate
+        if direction is step:
+            restarts += 1
+        g_prev, z_prev, d_prev = grad_r, step, direction
         # Unit M-norm direction: t becomes a rotation scale comparable
         # across iterations even on strongly anisotropic meshes.
         direction = direction / math.sqrt(max(direction @ (asm.mass @ direction), 0.0))
 
-        # Trials combine these cell arrays; the polish and the accepted
-        # step stay on nodal vectors, which the stopping test measures.
-        ray = _Ray(asm, grad_u, asm.gradients(direction), vals_u, asm.quad_values(direction), p, q)
-
-        def residual_along(t: float) -> float:
-            nonlocal polish_evaluations
-            polish_evaluations += 1
-            candidate = normalized(u + t * direction)
-            grads, vals = asm.gradients(candidate), asm.quad_values(candidate)
-            return _stationarity(asm, grads, vals, p, q, eps)[3]
-
+        # Trials and the polish combine these cell arrays; the accepted
+        # step stays on nodal vectors, which the stopping test measures.
+        ray = _Ray(
+            asm, grad_u, asm.gradients(direction), vals_u, asm.quad_values(direction), p, q, eps
+        )
         t_start = min(max(t_prev, 1e-8), 4.0)
         best_t, best_f = _ray_minimum(ray, rayleigh, float(grad_r @ direction), t_start)
         if rayleigh - best_f <= 1e-12 * rayleigh:
@@ -596,7 +623,7 @@ def minimize_rayleigh(
             # error is quadratic in the eigenvector error), so steer by the
             # first-order weak residual instead.
             polish = minimize_scalar(
-                residual_along,
+                ray.residual,
                 bounds=(0.0, max(2.0 * best_t, 1e-8)),
                 method="bounded",
                 options={"xatol": 1e-3 * max(best_t, 1e-8)},
@@ -604,6 +631,7 @@ def minimize_rayleigh(
             if float(polish.fun) < resid:
                 best_t, best_f = float(polish.x), ray(float(polish.x))[0]
         ray_trials += ray.trials
+        polish_evaluations += ray.residuals
         # Freed here, not when the next step rebinds it: the next
         # factorization sets the peak memory.
         del ray
@@ -620,6 +648,7 @@ def minimize_rayleigh(
         "history": history,
         "ray_trials": ray_trials,
         "polish_evaluations": polish_evaluations,
+        "restarts": restarts,
     }
     return _eigenpair(mesh, u, p, q, iteration, diagnostics)
 

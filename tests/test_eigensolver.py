@@ -266,23 +266,46 @@ class TestMinimizeRayleigh:
         lam = ce.minimize_rayleigh(mesh, 3.0, 2.0, tol=1e-6).lam
         assert lam == pytest.approx(72.21080875055748, rel=1e-9)
 
-    @pytest.mark.parametrize("seed", [1, 2, 3])
-    @pytest.mark.parametrize("q, tol", [(2.0, 1e-7), (3.0, 1e-6)])
-    def test_perturbed_start_converges(self, cusp_g2_res32, q, tol, seed):
-        # Without the residual polish these starts stagnate above tol: the
-        # quotient turns flat to round-off along the ray while the weak
-        # residual is still 1e-6 to 1e-5.
+    @pytest.mark.parametrize(
+        "p, q, tol, seed",
+        [
+            pytest.param(2.0, q, tol, seed, id=f"{q}-{tol:g}-{seed}")
+            for seed in (1, 2, 3)
+            for q, tol in ((2.0, 1e-7), (3.0, 1e-6))
+        ]
+        + [pytest.param(3.0, 2.0, 1e-7, 1, id="p3.0-2.0-1e-07-1")],
+    )
+    def test_perturbed_start_converges(self, cusp_g2_res32, p, q, tol, seed):
+        # Without the residual polish the p = 2 starts stagnate above tol:
+        # the quotient turns flat to round-off along the ray while the weak
+        # residual is still 1e-6 to 1e-5.  The p = 3 start stagnated at
+        # 1.3e-5 with steps along the preconditioned gradient alone.
         mesh = cusp_g2_res32
         x = ce.default_initial_field(mesh).values
         noise = np.random.default_rng(seed).uniform(-1.0, 1.0, mesh.num_nodes)
         start = ce.ScalarField(mesh, x + 0.01 * np.max(np.abs(x)) * noise)
-        pair = ce.minimize_rayleigh(mesh, 2.0, q, u0=start, tol=tol, max_iter=22)
+        pair = ce.minimize_rayleigh(mesh, p, q, u0=start, tol=tol, max_iter=22)
         assert pair.weak_residual <= tol
+        assert 1 <= pair.diagnostics["restarts"] <= pair.iterations
 
     def test_line_search_trials_per_step(self, cusp_g2_res32):
         pair = ce.minimize_rayleigh(cusp_g2_res32, 2.0, 3.0, tol=1e-6)
+        # Along the preconditioned gradient alone this took 20 outer steps.
+        assert pair.iterations <= 15
         # The last iteration stops before its line search.
         assert pair.diagnostics["ray_trials"] <= 6 * (pair.iterations - 1)
+        assert 1 <= pair.diagnostics["restarts"] <= pair.iterations
+
+    @pytest.mark.parametrize("resolution", [8, 12])
+    def test_unit_square_converges(self, resolution):
+        # The first eigenvalue of the unit square is double; steps along
+        # the preconditioned gradient alone stagnated here at 6.5e-6 and
+        # 5.9e-7.
+        mesh = ce.mesh_box(ce.BoxDomain((1.0, 1.0)), resolution)
+        pair = ce.minimize_rayleigh(mesh, 2.0, 2.0, tol=1e-7)
+        assert pair.weak_residual <= 1e-7
+        oracle = ce.oracle_linear_eigen(mesh)
+        assert pair.lam == pytest.approx(oracle.lambda_oracle, rel=1e-6)
 
     def test_rejects_constant_start(self, square16):
         u0 = ce.ScalarField(square16, np.full(square16.num_nodes, 2.0))
@@ -322,8 +345,9 @@ class TestMinimizeRayleigh:
 @pytest.mark.parametrize("q", [1.5, 2.0, 3.0, 4.0])
 @pytest.mark.parametrize("p", [2.0, 3.0])
 def test_ray_quotient_matches_nodal_path(cusp_g2_res32, rng, p, q):
-    # Route A's line-search trials evaluate phi(t) and phi'(t) from cell
-    # arrays of u and d; the nodal path projects u + t d and re-gathers.
+    # Route A's line-search trials evaluate phi(t) and phi'(t), and its
+    # polish the weak residual, from cell arrays of u and d; the nodal path
+    # projects u + t d and re-gathers.
     # Like route A's directions, d is a Neumann solve of unit M-norm.
     mesh = cusp_g2_res32
     asm = assembly(mesh)
@@ -332,10 +356,15 @@ def test_ray_quotient_matches_nodal_path(cusp_g2_res32, rng, p, q):
     d = asm.solve_neumann(asm.mass @ rng.uniform(-1.0, 1.0, mesh.num_nodes))
     d /= np.sqrt(d @ (asm.mass @ d))
     grad_u, vals_u = asm.gradients(u), asm.quad_values(u)
-    ray = _Ray(asm, grad_u, asm.gradients(d), vals_u, asm.quad_values(d), p, q)
+    ray = _Ray(asm, grad_u, asm.gradients(d), vals_u, asm.quad_values(d), p, q, 0.0)
 
     def nodal(t):
         return ce.rayleigh_quotient(ce.project_zero_mean(ce.ScalarField(mesh, u + t * d), q), p, q)
+
+    def nodal_residual(t):
+        v = ce.project_zero_mean(ce.ScalarField(mesh, u + t * d), q)
+        v = v.values / ce.lq_norm(v, q)
+        return _stationarity(asm, asm.gradients(v), asm.quad_values(v), p, q, 0.0)[3]
 
     # phi'(0) is route A's first slope, the quotient gradient along d.
     _, kp, rhs, _ = _stationarity(asm, grad_u, vals_u, p, q, 0.0)
@@ -347,7 +376,9 @@ def test_ray_quotient_matches_nodal_path(cusp_g2_res32, rng, p, q):
         # Five-point central difference, O(h^4).
         stencil = 8.0 * (nodal(t + h) - nodal(t - h)) - (nodal(t + 2 * h) - nodal(t - 2 * h))
         assert slope == pytest.approx(stencil / (12.0 * h), rel=1e-7, abs=1e-10 * value)
-    assert ray.trials == 6
+        # The polish's residual; O(1) at this start, so far above round-off.
+        assert ray.residual(t) == pytest.approx(nodal_residual(t), rel=1e-9)
+    assert ray.trials == 6 and ray.residuals == 5
 
 
 @pytest.mark.parametrize("p", [2.0, 3.0])
@@ -421,9 +452,10 @@ def test_solver_loops_call_the_public_forms_only_at_the_boundary(cusp_g2_res32, 
     for name in ("p_form_apply", "q_form_apply", "project_zero_mean"):
         monkeypatch.setattr(eigensolver, name, counting(name))
     pair = ce.minimize_rayleigh(cusp_g2_res32, 2.5, 3.0)
-    # The start and each accepted step project once; more projections are
-    # residual-polish trials, so the polish ran.
-    assert counts["project_zero_mean"] > pair.iterations
+    # The start and each accepted step project once; the residual polish
+    # ran, on cell arrays, without projecting.
+    assert pair.diagnostics["polish_evaluations"] > 0
+    assert counts["project_zero_mean"] <= pair.iterations
     assert counts["p_form_apply"] <= 1 and counts["q_form_apply"] <= 1
     counts.clear()
     ce.inverse_iteration(cusp_g2_res32, 2.5)
