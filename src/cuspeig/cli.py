@@ -217,6 +217,10 @@ def _run_solve(args: argparse.Namespace) -> int:
             "constraint_residual": pair.constraint_residual,
             "nodes": mesh.num_nodes,
             "cells": mesh.num_cells,
+            # The route's integer counters; route A's history list is the CSV.
+            "diagnostics": {
+                key: value for key, value in pair.diagnostics.items() if isinstance(value, int)
+            },
         },
     }
     _write_json(args.json_path, payload)

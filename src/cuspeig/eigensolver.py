@@ -5,8 +5,11 @@ Route A minimizes the Rayleigh quotient directly over the discrete zero
 projection onto the class after every step.  Route B (q = 2
 only) runs inverse power iteration: each step solves the p-Laplace problem
 with the previous normalized iterate as source, recovers the multiplier
-mu_n = ||z||_{L^2}^{-(p-1)} by p-homogeneity, and renormalizes.  Both the
-multipliers mu_n and the energies ||w_{n+1}||^p are nonincreasing and
+mu_n = ||z||_{L^2}^{-(p-1)} by p-homogeneity, and normalizes z.  From the
+second step on it then minimizes the quotient over span{z/||z||, w_n}, a
+locally optimal step (Knyazev, SIAM J. Sci. Comput. 23 (2001)), and
+renormalizes.  The step can only lower the source's quotient, so both the
+multipliers mu_n and the energies ||grad w_{n+1}||^p stay nonincreasing and
 converge to a common eigenvalue.
 
 The inner source problem is strictly convex on the zero-mean subspace and
@@ -76,8 +79,10 @@ class EigenPair:
 
 @dataclass
 class IterationState:
-    """One inverse-iteration step: normalized iterate, multiplier, energy,
-    and the tolerance its inner p-Laplace solve was given."""
+    """One inverse-iteration step: the normalized iterate after the locally
+    optimal step (the next step's source), the multiplier of the inner
+    solve, the iterate's energy, and the tolerance its inner p-Laplace solve
+    was given."""
 
     w: ScalarField
     mu: float
@@ -269,11 +274,20 @@ def inverse_iteration(
 ) -> tuple[EigenPair, list[IterationState]]:
     """Inverse power iteration for the first nontrivial eigenpair (q = 2).
 
-    Each step solves the p-Laplace problem with source w_n, recovers
-    mu_n = ||z||_{L^2}^{-(p-1)} (exact by homogeneity of the p-form), and
-    sets w_{n+1} = z/||z||.  Stops once the relative change of mu over
-    three consecutive steps is below ``tol`` and the weak residual is below
-    ``residual_tol``.  Returns the eigenpair and the full iteration trace.
+    Each step solves the p-Laplace problem with source w_n and recovers
+    mu_n = ||z||_{L^2}^{-(p-1)} (exact by homogeneity of the p-form).  The
+    first step sets w_1 = z/||z||.  Later steps minimize the quotient along
+    z/||z|| + t d, d = z/||z|| - w_n, by route A's ray search, warm-started
+    from the last accepted t, and take the minimizer as w_{n+1} after
+    renormalizing; where the quotient falls by no more than 1e-12 relative
+    (route A's flatness threshold), w_{n+1} = z/||z||.  The step keeps the
+    fixed points, since d = 0 there, and the interleaving
+    mu_{n+1} <= ||grad w_{n+1}||^p <= mu_n, since it only lowers the
+    quotient of the next source.  Stops once the relative change of mu over
+    three consecutive steps is below ``tol`` and the weak residual of
+    w_{n+1} is below ``residual_tol``.  Returns the eigenpair and the full
+    iteration trace; ``diagnostics`` counts the accepted steps
+    (``extrapolations``) and the ray trials (``ray_trials``).
 
     The inner solves are inexact: step n solves to the relative dual-norm
     gradient max(1e-11, min(1e-3, 1e-3 * r)), with r the weak residual of
@@ -301,6 +315,8 @@ def inverse_iteration(
     resid = math.inf
     resid_dual = math.inf
     cres = math.inf
+    t_prev = 1.0
+    extrapolations = ray_trials = 0
     for iteration in range(1, max_iter + 1):
         # Optimal rescaling of w makes the warm start feasible-monotone.
         theta = energy_prev ** (-1.0 / (p - 1.0)) if energy_prev > 0.0 else 1.0
@@ -322,8 +338,28 @@ def inverse_iteration(
         if s == 0.0:
             raise ConvergenceError("inner solve returned the zero field")
         mu = s ** (-(p - 1.0))
-        w = zv / s
+        source, w = w, zv / s
         grads, vals = asm.gradients(w), asm.quad_values(w)
+        if iteration > 1:
+            # Locally optimal step: minimize the quotient over
+            # span{w_{n+1}, w_n} along w + t d, d = w - w_n.
+            d = w - source
+            ray = _Ray(asm, grads, asm.gradients(d), vals, asm.quad_values(d), p, 2.0, 0.0)
+            value0, slope0 = ray(0.0)
+            if slope0 < 0.0:
+                best_t, best_f = _ray_minimum(ray, value0, slope0, min(max(t_prev, 1e-3), 4.0))
+                # Route A's flatness threshold: below it the quotient cannot
+                # tell the step from round-off.
+                if value0 - best_f > 1e-12 * value0:
+                    w = w + best_t * d
+                    w /= _l2_norm(asm, w)
+                    grads, vals = asm.gradients(w), asm.quad_values(w)
+                    t_prev = best_t
+                    extrapolations += 1
+            ray_trials += ray.trials
+            # Freed before the next inner solve, whose factorization sets the
+            # peak memory.
+            del d, ray
         cres = abs(_constraint_from_values(asm, vals, 2.0))
         scale = _lq_norm_from_values(asm, vals, 2.0) ** (p - 2.0)
         energy_prev, lhs, rhs, resid = _stationarity(asm, grads, vals, p, 2.0, 0.0, scale)
@@ -366,7 +402,12 @@ def inverse_iteration(
         )
 
     u = w / _lq_norm_from_values(asm, asm.quad_values(w), 2.0)
-    return _eigenpair(mesh, u, p, 2.0, iteration, {"mu_final": trace[-1].mu}), trace
+    diagnostics = {
+        "mu_final": trace[-1].mu,
+        "extrapolations": extrapolations,
+        "ray_trials": ray_trials,
+    }
+    return _eigenpair(mesh, u, p, 2.0, iteration, diagnostics), trace
 
 
 class _Ray:

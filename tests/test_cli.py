@@ -95,6 +95,10 @@ class TestSolveCommand:
         assert code == 0
         doc = load_checked(out, "eigenpair")
         assert doc["result"]["lambda"] == pytest.approx(math.pi**2, rel=0.02)
+        # Route A's counters; its history list stays out of the JSON.
+        diagnostics = doc["result"]["diagnostics"]
+        assert set(diagnostics) == {"ray_trials", "polish_evaluations", "restarts"}
+        assert 1 <= diagnostics["restarts"] <= doc["result"]["iterations"]
         mesh = ce.read_mesh_text(mesh_path)
         assert mesh.volume == pytest.approx(1.0, rel=1e-12)
 
@@ -107,7 +111,11 @@ class TestSolveCommand:
              "--json", out, "--csv", trace_path]
         )
         assert code == 0
-        load_checked(out, "eigenpair")
+        doc = load_checked(out, "eigenpair")
+        diagnostics = doc["result"]["diagnostics"]
+        assert set(diagnostics) == {"extrapolations", "ray_trials"}
+        assert 0 < diagnostics["extrapolations"] < doc["result"]["iterations"]
+        assert diagnostics["ray_trials"] >= diagnostics["extrapolations"]
         lines = trace_path.read_text().splitlines()
         assert lines[0] == "n,mu_n,energy_n,constraint_residual"
         mus = [float(line.split(",")[1]) for line in lines[1:]]

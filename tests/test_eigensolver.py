@@ -126,6 +126,11 @@ class TestInverseIteration:
         assert pair.lam == pytest.approx(oracle.lambda_oracle, rel=1e-6)
         mus = [state.mu for state in trace]
         assert all(m2 <= m1 * (1.0 + 1e-10) for m1, m2 in zip(mus, mus[1:]))
+        # The first nontrivial eigenvalue of the square is double, so the
+        # quotient turns flat along span{w_{n+1}, w_n} before the residual
+        # is met.  Extrapolating there anyway ran 500 steps and stopped at
+        # weak residual 4.1e-7; the flatness guard declines those steps.
+        assert 0 < pair.diagnostics["extrapolations"] < pair.iterations
 
     def test_trace_energies_interleave(self, cusp16):
         _pair, trace = ce.inverse_iteration(cusp16, 2.5, tol=1e-8, residual_tol=1e-5)
@@ -195,6 +200,26 @@ class TestInverseIteration:
             mesh, 3.0, w0=start, tol=1e-8, residual_tol=1e-6, max_iter=40
         )
         assert pair.weak_residual <= 1e-6
+
+    @pytest.mark.parametrize("perturbed", [False, True], ids=["default", "perturbed"])
+    @pytest.mark.parametrize("p", [2.0, 2.5, 3.0])
+    def test_locally_optimal_step_count(self, cusp_g2_res32, p, perturbed):
+        # Plain inverse iteration took 13-18 outer steps on these cases;
+        # the step over span{w_{n+1}, w_n} takes 8-11.
+        mesh = cusp_g2_res32
+        start = ce.default_initial_field(mesh)
+        if perturbed:
+            x = start.values
+            noise = np.random.default_rng(1).uniform(-1.0, 1.0, mesh.num_nodes)
+            start = ce.ScalarField(mesh, x + 0.01 * np.max(np.abs(x)) * noise)
+        pair, trace = ce.inverse_iteration(mesh, p, w0=start, tol=1e-8, residual_tol=1e-6)
+        assert pair.iterations <= 12
+        assert 0 < pair.diagnostics["extrapolations"] < pair.iterations
+        for label in ("mu", "energy"):
+            chain = np.array([getattr(state, label) for state in trace])
+            assert np.all(chain[1:] <= chain[:-1] * (1.0 + 1e-10))
+        lam_min = ce.minimize_rayleigh(mesh, p, 2.0, tol=1e-8).lam
+        assert pair.lam == pytest.approx(lam_min, rel=1e-8)
 
     def test_float_floor_stall_fails_fast(self, cusp_g2_res32, monkeypatch):
         # From step 3 on the inner solve takes its float-floor exit at once,
