@@ -60,6 +60,17 @@ def _list_of(kind):
 _float_list, _int_list = _list_of(float), _list_of(int)
 
 
+def _positive_int(text: str) -> int:
+    """Flag type: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
 def _check_subcritical(gamma: float, p: float, q: float) -> None:
     """Reject q >= p*_gamma = gamma p / (gamma - p) when p < gamma.
 
@@ -358,7 +369,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
                        default="8")
     sweep.add_argument("--method", choices=("minimize", "iterate"), default="minimize")
     sweep.add_argument("--tol", type=float, default=1e-4)
-    sweep.add_argument("--workers", type=int, default=1)
+    sweep.add_argument("--workers", type=_positive_int, default=1)
     sweep.add_argument("--csv", dest="csv_path", required=True)
     return parser, sub.choices
 

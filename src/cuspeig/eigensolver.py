@@ -12,10 +12,16 @@ renormalizes.  The step can only lower the source's quotient, so both the
 multipliers mu_n and the energies ||grad w_{n+1}||^p stay nonincreasing and
 converge to a common eigenvalue.
 
+Both routes stop on one weak residual: the defect of the weak
+Euler-Lagrange equation over that of its right-hand side, both in the
+dual norm of the zero-mean space, ||r||_* = sqrt(r . K^{-1} r) with K the
+stiffness.  Lambda's solver error is then quadratic in it, about 1.5 r^2
+on the cusp meshes.
+
 The inner source problem is strictly convex on the zero-mean subspace and
 is solved by damped Newton with sparse factorizations.  The inner solves
-are inexact: their tolerance follows the outer weak residual, measured in
-the inner solve's dual norm, down to a floor (inexact inverse iteration keeps the outer rate with an inner
+are inexact: their tolerance follows the outer weak residual down to a
+floor (inexact inverse iteration keeps the outer rate with an inner
 tolerance proportional to the eigen-residual; Golub & Ye, BIT 40 (2000);
 Freitag & Spence, ETNA 28 (2007)).  The ray-optimal rescale of each inner
 solution, not the inner accuracy, is what keeps the recorded mu_n and
@@ -29,7 +35,6 @@ from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .discretization import (
     ConvergenceError,
@@ -58,8 +63,8 @@ _ARMIJO_FACTOR = 1e-4
 
 # Inexact inner solves of inverse iteration: step n gets the tolerance
 # max(_INNER_TOL_FLOOR, min(_INNER_TOL_CAP, _INNER_TOL_RATIO * r)), with r
-# the weak residual of step n-1 in the inner solve's dual norm, so the
-# first step (r = inf) runs to _INNER_TOL_CAP.
+# the weak residual of step n-1, so the first step (r = inf) runs to
+# _INNER_TOL_CAP.
 _INNER_TOL_FLOOR = 1e-11
 _INNER_TOL_CAP = 1e-3
 _INNER_TOL_RATIO = 1e-3
@@ -98,20 +103,22 @@ def _sign_normalize(values: np.ndarray) -> np.ndarray:
 
 
 def _weak_residual(asm, lhs: np.ndarray, rhs: np.ndarray) -> float:
-    # ||P(lhs - rhs)|| / ||P lhs|| with P the zero-mean load projection.
-    num = np.linalg.norm(asm.project_load(lhs - rhs))
-    den = np.linalg.norm(asm.project_load(lhs))
+    # ||lhs - rhs||_* / ||rhs||_* in the K^{-1} dual norm of the zero-mean space.
+    num = asm.dual_norm(lhs - rhs)
+    den = asm.dual_norm(rhs)
     if den == 0.0:
         return math.inf if num > 0.0 else 0.0
-    return float(num / den)
+    return num / den
 
 
 def check_weak_residual(u: ScalarField, lam: float, p: float, q: float) -> float:
-    """Relative norm of the weak-form defect over zero-mean test functions.
+    """Relative dual norm of the weak-form defect over zero-mean test functions.
 
-    Assembles r_j = <|grad u|^(p-2) grad u, grad phi_j>
-    - lam ||u||_q^(p-q) int |u|^(q-2) u phi_j, projects onto the zero-mean
-    test space, and returns ||r|| / ||lhs||.
+    Assembles lhs_j = <|grad u|^(p-2) grad u, grad phi_j> and
+    rhs_j = lam ||u||_q^(p-q) int |u|^(q-2) u phi_j and returns
+    ||lhs - rhs||_* / ||rhs||_*, with ||f||_* = sqrt(f . K^{-1} f) the norm
+    of a load on the zero-mean space (K the stiffness): the H^1-seminorm of
+    the Neumann solution it drives, which weights each node by its cells.
     """
     # The public forms, unlike the solver loops: this is the API boundary,
     # where the benchmark traces the p_form, q_form and energy layers.
@@ -291,14 +298,11 @@ def inverse_iteration(
 
     The inner solves are inexact: step n solves to the relative dual-norm
     gradient max(1e-11, min(1e-3, 1e-3 * r)), with r the weak residual of
-    step n-1 in that same dual norm (1e-3 at the first step), so 1e-11 is
-    the fixed floor of this schedule.  The warm start of step n starts at
-    relative gradient r, so every inner solve above the floor cuts its
-    gradient 1000-fold.  The nodal weak residual of the stopping
-    test is not used here: on graded cusp meshes it can exceed r by orders
-    of magnitude, the warm start then already meets the tolerance, and the
-    iteration stands still.  Each step records its inner tolerance in the
-    trace.
+    step n-1 (1e-3 at the first step), so 1e-11 is the fixed floor of this
+    schedule.  The warm start of step n, w_n rescaled along its ray, has
+    relative inner gradient exactly r, so every inner solve above the floor
+    cuts its gradient 1000-fold.  Each step records its inner tolerance in
+    the trace.
     """
     if q != 2.0:
         raise ValueError("inverse iteration is formulated for q = 2 only")
@@ -313,7 +317,6 @@ def inverse_iteration(
     trace: list[IterationState] = []
     energy_prev = _energy_from_gradients(asm, asm.gradients(w), p)
     resid = math.inf
-    resid_dual = math.inf
     cres = math.inf
     t_prev = 1.0
     extrapolations = ray_trials = 0
@@ -321,7 +324,7 @@ def inverse_iteration(
         # Optimal rescaling of w makes the warm start feasible-monotone.
         theta = energy_prev ** (-1.0 / (p - 1.0)) if energy_prev > 0.0 else 1.0
         warm = ScalarField(mesh, theta * w)
-        step_tol = max(_INNER_TOL_FLOOR, min(_INNER_TOL_CAP, _INNER_TOL_RATIO * resid_dual))
+        step_tol = max(_INNER_TOL_FLOOR, min(_INNER_TOL_CAP, _INNER_TOL_RATIO * resid))
         z = solve_p_laplace_source(
             mesh, p, ScalarField(mesh, w), tol=step_tol, warm_start=warm
         )
@@ -344,7 +347,7 @@ def inverse_iteration(
             # Locally optimal step: minimize the quotient over
             # span{w_{n+1}, w_n} along w + t d, d = w - w_n.
             d = w - source
-            ray = _Ray(asm, grads, asm.gradients(d), vals, asm.quad_values(d), p, 2.0, 0.0)
+            ray = _Ray(asm, grads, asm.gradients(d), vals, asm.quad_values(d), p, 2.0)
             value0, slope0 = ray(0.0)
             if slope0 < 0.0:
                 best_t, best_f = _ray_minimum(ray, value0, slope0, min(max(t_prev, 1e-3), 4.0))
@@ -362,8 +365,7 @@ def inverse_iteration(
             del d, ray
         cres = abs(_constraint_from_values(asm, vals, 2.0))
         scale = _lq_norm_from_values(asm, vals, 2.0) ** (p - 2.0)
-        energy_prev, lhs, rhs, resid = _stationarity(asm, grads, vals, p, 2.0, 0.0, scale)
-        resid_dual = asm.dual_norm(lhs - rhs) / asm.dual_norm(rhs)
+        energy_prev, _, _, resid = _stationarity(asm, grads, vals, p, 2.0, 0.0, scale)
         trace.append(
             IterationState(
                 w=ScalarField(mesh, w),
@@ -417,20 +419,19 @@ class _Ray:
     zero-(q-1)-mean shift, so phi is the quotient of
     project_zero_mean(u + t d, q).  Cell gradients and quadrature values
     are linear in the nodal values, so the arrays of u and d, taken once
-    per step, give every trial and every residual without a gather.
-    ``trials`` and ``residuals`` count the calls.
+    per step, give every trial without a gather.  ``trials`` counts the
+    calls.
     """
 
-    def __init__(self, asm, grad_u, grad_d, vals_u, vals_d, p: float, q: float, eps: float):
-        self.asm, self.p, self.q, self.eps = asm, p, q, eps
+    def __init__(self, asm, grad_u, grad_d, vals_u, vals_d, p: float, q: float):
+        self.asm, self.p, self.q = asm, p, q
         # |grad(u + t d)|^2 = a + 2 b t + c t^2 on every cell.
         pairs = ((grad_u, grad_u), (grad_u, grad_d), (grad_d, grad_d))
         self.cell_terms = tuple(np.einsum("ci,ci->c", x, y) for x, y in pairs)
-        self.grads = (grad_u, grad_d)
         self.vals = (vals_u, vals_d)
         # Shift of the last trial; u has zero (q-1)-mean.
         self.shift = 0.0
-        self.trials = self.residuals = 0
+        self.trials = 0
 
     def __call__(self, t: float) -> tuple[float, float]:
         self.trials += 1
@@ -471,16 +472,6 @@ class _Ray:
         shifted = vals - self.shift
         flux = asm.quad_w * np.copysign(np.abs(shifted) ** (self.q - 1.0), shifted)
         return float(np.vdot(flux, shifted)), self.q * float(np.vdot(flux, vals_d))
-
-    def residual(self, t: float) -> float:
-        """Weak residual of u + t d shifted to zero (q-1)-mean and scaled to
-        unit L^q norm, the field that the accepted step would return."""
-        self.residuals += 1
-        norm = self.shift_norm(t)[0] ** (1.0 / self.q)
-        (grad_u, grad_d), (vals_u, vals_d) = self.grads, self.vals
-        grads = (grad_u + t * grad_d) / norm
-        vals = (vals_u + t * vals_d - self.shift) / norm
-        return _stationarity(self.asm, grads, vals, self.p, self.q, self.eps)[3]
 
 
 def _cubic_step(lo: tuple, hi: tuple) -> float:
@@ -568,8 +559,9 @@ def minimize_rayleigh(
     not descend, or beta = 0, the step restarts along z.  This beta stays
     valid when the preconditioner changes every step (Notay, SIAM J. Sci.
     Comput. 22 (2000)).
-    Converged when the weak residual drops below ``tol``; stagnation
-    raises instead of returning a non-stationary pair.
+    Converged when the weak residual (see :func:`check_weak_residual`)
+    drops below ``tol``; stagnation raises instead of returning a
+    non-stationary pair.
 
     The line search looks for the root of phi'(t), where
     phi(t) = E(t) / N(t)^(p/q) is the quotient of u + t d shifted to zero
@@ -578,13 +570,11 @@ def minimize_rayleigh(
     The shift's derivative c' drops out of N' because its coefficient is
     the constraint, which is zero.  Every trial combines cell gradients
     and quadrature values of u and d taken once per step, and phi'(0) is
-    grad_r . d, known before the first trial.  Where the quotient is flat
-    to round-off along the ray, a bounded search on the weak residual
-    (the polish) picks the step instead; it evaluates the residual from
-    the same cell arrays, and only the accepted step is projected and
-    measured on nodal vectors.  ``diagnostics`` counts the trials
-    (``ray_trials``), the polish's residual evaluations
-    (``polish_evaluations``) and the steps along z alone (``restarts``).
+    grad_r . d, known before the first trial.  phi' keeps its accuracy
+    where phi is flat to round-off, so the search still steers there; only
+    the accepted step is projected and measured on nodal vectors.
+    ``diagnostics`` counts the trials (``ray_trials``) and the steps along
+    z alone (``restarts``).
     """
     if not (p > 1.0 and q > 1.0):
         raise ValueError(f"requires p, q > 1, got p={p}, q={q}")
@@ -606,7 +596,7 @@ def minimize_rayleigh(
     # Quotient gradient, preconditioned step and search direction of the
     # previous step, all unscaled.
     g_prev = z_prev = d_prev = None
-    ray_trials = polish_evaluations = restarts = 0
+    ray_trials = restarts = 0
     resid = math.inf
     rayleigh = math.inf
     for iteration in range(1, max_iter + 1):
@@ -652,27 +642,12 @@ def minimize_rayleigh(
         # across iterations even on strongly anisotropic meshes.
         direction = direction / math.sqrt(max(direction @ (asm.mass @ direction), 0.0))
 
-        # Trials and the polish combine these cell arrays; the accepted
-        # step stays on nodal vectors, which the stopping test measures.
-        ray = _Ray(
-            asm, grad_u, asm.gradients(direction), vals_u, asm.quad_values(direction), p, q, eps
-        )
+        # Trials combine these cell arrays; the accepted step stays on
+        # nodal vectors, which the stopping test measures.
+        ray = _Ray(asm, grad_u, asm.gradients(direction), vals_u, asm.quad_values(direction), p, q)
         t_start = min(max(t_prev, 1e-8), 4.0)
         best_t, best_f = _ray_minimum(ray, rayleigh, float(grad_r @ direction), t_start)
-        if rayleigh - best_f <= 1e-12 * rayleigh:
-            # The quotient is flat to machine precision along the ray (its
-            # error is quadratic in the eigenvector error), so steer by the
-            # first-order weak residual instead.
-            polish = minimize_scalar(
-                ray.residual,
-                bounds=(0.0, max(2.0 * best_t, 1e-8)),
-                method="bounded",
-                options={"xatol": 1e-3 * max(best_t, 1e-8)},
-            )
-            if float(polish.fun) < resid:
-                best_t, best_f = float(polish.x), ray(float(polish.x))[0]
         ray_trials += ray.trials
-        polish_evaluations += ray.residuals
         # Freed here, not when the next step rebinds it: the next
         # factorization sets the peak memory.
         del ray
@@ -688,7 +663,6 @@ def minimize_rayleigh(
     diagnostics = {
         "history": history,
         "ray_trials": ray_trials,
-        "polish_evaluations": polish_evaluations,
         "restarts": restarts,
     }
     return _eigenpair(mesh, u, p, q, iteration, diagnostics)

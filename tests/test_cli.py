@@ -97,7 +97,7 @@ class TestSolveCommand:
         assert doc["result"]["lambda"] == pytest.approx(math.pi**2, rel=0.02)
         # Route A's counters; its history list stays out of the JSON.
         diagnostics = doc["result"]["diagnostics"]
-        assert set(diagnostics) == {"ray_trials", "polish_evaluations", "restarts"}
+        assert set(diagnostics) == {"ray_trials", "restarts"}
         assert 1 <= diagnostics["restarts"] <= doc["result"]["iterations"]
         mesh = ce.read_mesh_text(mesh_path)
         assert mesh.volume == pytest.approx(1.0, rel=1e-12)
@@ -172,7 +172,10 @@ class TestInputChecks:
     def output(command, path):
         return ["--csv", path] if command == "sweep" else ["--json", path]
 
-    @pytest.mark.parametrize("flag, value", [("--resolution-grid", "8.7"), ("--gamma-grid", "")])
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--resolution-grid", "8.7"), ("--gamma-grid", ""), ("--workers", "0")],
+    )
     def test_sweep_grid_values(self, tmp_path, capsys, flag, value):
         csv_path = tmp_path / "sweep.csv"
         with pytest.raises(SystemExit) as info:
