@@ -411,7 +411,10 @@ def test_weak_residual_bounds_the_lambda_error(cusp16, method, dim, p, q):
     mesh = cusp16 if dim == 2 else ce.mesh_cusp(ce.CuspDomain((1.5, 1.5)), 1.0, 6)
     # Route A's lambda for both routes: route B at p = 3 stalls at its
     # inner solve's float floor near a weak residual of 1e-7 on cusp16.
-    lam_ref = ce.minimize_rayleigh(mesh, p, q, tol=1e-9).lam
+    # tol 1e-8 puts the reference's own error near 1e-16, far below
+    # 0.5 r^2 here; at 1e-9 route A on the 3-D cusp can stagnate at its
+    # round-off floor (2.9e-9 with two BLAS threads).
+    lam_ref = ce.minimize_rayleigh(mesh, p, q, tol=1e-8).lam
     for tol in (1e-3, 1e-4):
         pair, _ = ce.solve_eigenpair(mesh, p, q, method, tol)
         r = pair.weak_residual
