@@ -7,8 +7,9 @@ reference cone onto the cusp domain through the map phi_a and yields
 
 where K(a) bounds the (p,s)-distortion of phi_a, M(a) the L^{r/(r-q)}
 Jacobian factor, and B a Sobolev-Poincare constant of the cone.  All three
-factors are available in closed form, so the infimum reduces to a smooth
-one-dimensional minimization over the admissible window of a.
+factors are available in closed form, and so is the infimum: the
+stationarity condition of the product in a is a quadratic, so the minimizer
+is a window end or one of its roots.
 """
 
 from __future__ import annotations
@@ -26,10 +27,8 @@ TWELVE_PI = 12.0 * math.pi
 # the objective extends continuously to the closure.
 _ENDPOINT_MARGIN = 1e-9
 
-# Grid points of the coarse scan that brackets the golden-section search.
+# Samples of the objective across the window, reported with the bound.
 _SCAN_POINTS = 512
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 class BoundConfigError(ValueError):
@@ -41,7 +40,8 @@ def unit_ball_volume(n: int) -> float:
     return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
 
 
-def _p_star_gamma(p: float, gamma: float) -> float:
+def p_star_gamma(p: float, gamma: float) -> float:
+    """Critical embedding exponent gamma p / (gamma - p), for p < gamma."""
     return gamma * p / (gamma - p)
 
 
@@ -85,39 +85,11 @@ class ExponentConfig:
 
     @property
     def p_star_gamma(self) -> float:
-        return _p_star_gamma(self.p, self.gamma)
+        return p_star_gamma(self.p, self.gamma)
 
     @property
     def delta(self) -> float:
         return 1.0 / self.s - 1.0 / self.r
-
-    @classmethod
-    def with_defaults(
-        cls,
-        n: int,
-        p: float,
-        q: float,
-        gamma: float,
-        s: float | None = None,
-        r: float | None = None,
-    ) -> "ExponentConfig":
-        """Fill (s, r) when the caller only fixes (p, q).
-
-        s is chosen so that ns/(n-s) exceeds p*_gamma by 5 percent, clamped
-        so the mapping-exponent window stays nonempty (for gamma close to p
-        the unclamped rule empties it); r sits halfway between q and the
-        subcritical ceiling.  Both can be overridden.
-        """
-        p_star = _p_star_gamma(p, gamma)
-        if s is None:
-            target = 1.05 * p_star
-            s = n * target / (n + target)
-            # Nonempty window needs p(n-s)/(s(gamma-p)) > n/gamma.
-            s_window = gamma * p * n / (gamma * p + n * (gamma - p))
-            s = min(s, 0.98 * s_window)
-        if r is None:
-            r = 0.5 * (q + min(p_star, n * s / (n - s)))
-        return cls(p=p, q=q, s=s, r=r, n=n, gamma=gamma)
 
     @classmethod
     def from_domain(
@@ -128,7 +100,26 @@ class ExponentConfig:
         s: float | None = None,
         r: float | None = None,
     ) -> "ExponentConfig":
-        return cls.with_defaults(domain.n, p, q, domain.gamma, s=s, r=r)
+        """Config for (p, q) on ``domain``, filling (s, r) when not given.
+
+        s is chosen so that ns/(n-s) exceeds p*_gamma by 5 percent, clamped
+        so the mapping-exponent window stays nonempty (for gamma close to p
+        the unclamped rule empties it); r sits halfway between q and the
+        subcritical ceiling.  Both can be overridden.
+        """
+        n, gamma = domain.n, domain.gamma
+        if not p < gamma:
+            raise BoundConfigError(f"requires p < gamma, got p={p}, gamma={gamma}")
+        p_star = p_star_gamma(p, gamma)
+        if s is None:
+            target = 1.05 * p_star
+            s = n * target / (n + target)
+            # Nonempty window needs p(n-s)/(s(gamma-p)) > n/gamma.
+            s_window = gamma * p * n / (gamma * p + n * (gamma - p))
+            s = min(s, 0.98 * s_window)
+        if r is None:
+            r = 0.5 * (q + min(p_star, n * s / (n - s)))
+        return cls(p=p, q=q, s=s, r=r, n=n, gamma=gamma)
 
 
 def k_ps_bound(a: float, p: float, domain: CuspDomain, s: float | None = None) -> float:
@@ -226,24 +217,6 @@ def admissible_interval(cfg: ExponentConfig) -> tuple[float, float]:
     return lo, hi
 
 
-def _golden_section_min(f, lo: float, hi: float, tol: float = 1e-10):
-    """Golden-section search for the minimum of a unimodal scalar function."""
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    while hi - lo > tol:
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = f(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = f(x2)
-    x = 0.5 * (lo + hi)
-    return x, f(x)
-
-
 @dataclass
 class BoundReport:
     """Optimized composite bound: lambda >= 1 / upper_on_inverse_lambda."""
@@ -269,12 +242,58 @@ class BoundReport:
         }
 
 
-def _objective(a: float, cfg: ExponentConfig, domain: CuspDomain, b_const: float) -> float:
+def _objective(a: float, p: float, q: float, domain: CuspDomain, b_const: float) -> float:
+    """F(a) = a**(p/q-1) Q(a)**(p/2) B**p, Q(a) = sum (a g_i - 1)^2 + n - 1 + a^2."""
     square_sum = sum((a * g - 1.0) ** 2 for g in domain.gamma_exponents)
-    return (
-        a ** (cfg.p / cfg.q - 1.0)
-        * (square_sum + (cfg.n - 1) + a * a) ** (cfg.p / 2.0)
-        * b_const**cfg.p
+    val = a ** (p / q - 1.0) * (square_sum + (domain.n - 1) + a * a) ** (p / 2.0) * b_const**p
+    if not math.isfinite(val):
+        raise BoundConfigError(f"non-finite objective at a={a}")
+    return val
+
+
+def _stationary_points(p: float, q: float, domain: CuspDomain) -> list[float]:
+    """Real roots of d ln F/da = 0.
+
+    With Q(a) = (1 + sum g_i^2) a^2 - 2 (sum g_i) a + 2(n-1) the condition
+    (p/q-1) Q + (p/2) a Q' = 0 reads
+    (c+p)(1 + sum g_i^2) a^2 - (2c+p)(sum g_i) a + 2c(n-1) = 0, c = p/q-1.
+    The leading coefficient is positive since p > 1 and c > -1.
+    """
+    c = p / q - 1.0
+    gs = domain.gamma_exponents
+    c2 = (c + p) * (1.0 + sum(g * g for g in gs))
+    c1 = -(2.0 * c + p) * sum(gs)
+    c0 = 2.0 * c * (domain.n - 1)
+    disc = c1 * c1 - 4.0 * c2 * c0
+    if disc < 0.0:
+        return []
+    # half / c2 is the larger-magnitude root and c0 / half the other (their
+    # product is c0 / c2), so neither subtracts nearly equal terms.
+    half = -0.5 * (c1 + math.copysign(math.sqrt(disc), c1))
+    return [half / c2, c0 / half]
+
+
+def _report_at(
+    a: float,
+    samples: list[float],
+    p: float,
+    q: float,
+    s: float,
+    domain: CuspDomain,
+    b_const: float,
+    interval: tuple[float, float],
+) -> BoundReport:
+    """The bound's factors at mapping exponent a, with F sampled at ``samples``."""
+    f_val = _objective(a, p, q, domain, b_const)
+    return BoundReport(
+        a_star=float(a),
+        k_ps=k_ps_bound(a, p, domain, s=s),
+        m_rq=a ** (1.0 / q),  # m_rq_bound: a >= n/gamma on the window and at the corner
+        b_rs=b_const,
+        upper_on_inverse_lambda=f_val,
+        lambda_lower=1.0 / f_val,
+        interval=interval,
+        evaluations=[(x, _objective(x, p, q, domain, b_const)) for x in samples],
     )
 
 
@@ -287,11 +306,16 @@ def lambda_lower_bound(
 ) -> BoundReport:
     """Minimize the composite bound over the admissible mapping exponent.
 
-    The objective F(a) = a**(p/q-1) (sum (a g_i - 1)^2 + n - 1 + a^2)**(p/2)
-    * B**p equals (K M B)**p and is smooth on the window, so a coarse grid
-    scan followed by golden-section refinement locates the infimum.  Pass
-    ``b_constant`` to replace the Poincare estimate (e.g. by 12*pi) and
-    ``fixed_a`` to pin the mapping exponent instead of optimizing.
+    The objective F(a) = a**(p/q-1) Q(a)**(p/2) * B**p, with
+    Q(a) = sum (a g_i - 1)^2 + n - 1 + a^2, equals (K M B)**p.  Since
+    Q > 0, F is stationary exactly where the quadratic
+    (p/q-1) Q + (p/2) a Q' vanishes, so its infimum over the window is the
+    lower value of F at the two window ends, shrunk by a 1e-9 margin, and
+    at the quadratic's real roots inside them.  ``evaluations`` samples F
+    at 512 evenly spaced points of the shrunk window.  Pass ``b_constant``
+    to replace the Poincare estimate (e.g. by 12*pi) and ``fixed_a`` to pin
+    the mapping exponent instead of optimizing; a pin outside [lo, hi) is
+    refused.
 
     The composite estimate is stated for n >= 3; 2-D evaluation is refused
     unless ``allow_n2`` is set.
@@ -303,43 +327,24 @@ def lambda_lower_bound(
         )
     if domain.n != cfg.n or abs(domain.gamma - cfg.gamma) > 1e-12:
         raise BoundConfigError("config does not match the domain (n, gamma)")
+    p, q = cfg.p, cfg.q
     b_const = b_rs_estimate(cfg.n, cfg.r, cfg.s) if b_constant is None else b_constant
     lo, hi = admissible_interval(cfg)
+    if fixed_a is not None and not lo <= fixed_a < hi:
+        raise BoundConfigError(
+            f"pinned exponent a={fixed_a} outside admissible interval "
+            f"[{lo:.6g}, {hi:.6g})"
+        )
     lo_c, hi_c = lo + _ENDPOINT_MARGIN, hi - _ENDPOINT_MARGIN
-
-    def f(a: float) -> float:
-        val = _objective(a, cfg, domain, b_const)
-        if not math.isfinite(val):
-            raise BoundConfigError(f"non-finite objective at a={a}")
-        return val
-
-    grid_a = np.linspace(lo_c, hi_c, _SCAN_POINTS)
-    grid_f = [f(a) for a in grid_a]
-    evaluations = list(zip(grid_a.tolist(), grid_f))
-    if fixed_a is not None:
-        if not lo - 1e-12 <= fixed_a <= hi + 1e-12:
-            raise BoundConfigError(
-                f"pinned exponent a={fixed_a} outside admissible interval "
-                f"({lo:.6g}, {hi:.6g})"
-            )
-        a_star, f_star = fixed_a, f(fixed_a)
+    if fixed_a is None:
+        candidates = [lo_c, hi_c] + [
+            a for a in _stationary_points(p, q, domain) if lo_c < a < hi_c
+        ]
+        a_star = min(candidates, key=lambda a: _objective(a, p, q, domain, b_const))
     else:
-        k = int(np.argmin(grid_f))
-        blo = grid_a[max(k - 1, 0)]
-        bhi = grid_a[min(k + 1, _SCAN_POINTS - 1)]
-        a_star, f_star = _golden_section_min(f, blo, bhi)
-        if grid_f[k] < f_star:
-            a_star, f_star = grid_a[k], grid_f[k]
-    return BoundReport(
-        a_star=float(a_star),
-        k_ps=k_ps_bound(a_star, cfg.p, domain, s=cfg.s),
-        m_rq=m_rq_bound(a_star, cfg.q, cfg),
-        b_rs=b_const,
-        upper_on_inverse_lambda=f_star,
-        lambda_lower=1.0 / f_star,
-        interval=(lo, hi),
-        evaluations=evaluations,
-    )
+        a_star = fixed_a
+    samples = np.linspace(lo_c, hi_c, _SCAN_POINTS).tolist()
+    return _report_at(a_star, samples, p, q, cfg.s, domain, b_const, (lo, hi))
 
 
 def lower_bound_report(
@@ -373,19 +378,7 @@ def lower_bound_report(
         s = 1.5 if s is None else float(s)
         r = 2.5 if r is None else float(r)
         b_const = b_constant if b_constant is not None else b_rs_estimate(3, r, s)
-        k_val = k_ps_bound(1.0, 3.0, domain)
-        f_val = (k_val * b_const) ** 3
-        report = BoundReport(
-            a_star=1.0,
-            k_ps=k_val,
-            m_rq=1.0,
-            b_rs=b_const,
-            upper_on_inverse_lambda=f_val,
-            lambda_lower=1.0 / f_val,
-            interval=(1.0, 1.0),
-            evaluations=[(1.0, f_val)],
-        )
-        return report, s, r
+        return _report_at(1.0, [1.0], p, q, s, domain, b_const, (1.0, 1.0)), s, r
     raise BoundConfigError(
         f"requires p < gamma (got p={p}, gamma={domain.gamma}); the "
         "degenerate corner is supported only for (n, p, q) = (3, 3, 2) at a = 1"

@@ -22,7 +22,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-from .bounds import TWELVE_PI, BoundConfigError, _p_star_gamma, lower_bound_report
+from .bounds import TWELVE_PI, BoundConfigError, lower_bound_report, p_star_gamma
 from .eigensolver import ConvergenceError, solve_eigenpair
 from .geometry import (
     BoxDomain,
@@ -77,9 +77,9 @@ def _check_subcritical(gamma: float, p: float, q: float) -> None:
     There W^{1,p} does not embed compactly into L^q, the eigenvalue is 0,
     and a discrete solve returns a number set by the tip cutoff.
     """
-    if p < gamma and q >= _p_star_gamma(p, gamma):
+    if p < gamma and q >= p_star_gamma(p, gamma):
         raise ValueError(
-            f"requires q < p*_gamma = {_p_star_gamma(p, gamma):g} (no compact embedding; "
+            f"requires q < p*_gamma = {p_star_gamma(p, gamma):g} (no compact embedding; "
             f"lambda = 0), got q={q:g} at p={p:g}, gamma={gamma:g}"
         )
 

@@ -97,17 +97,6 @@ class CuspDomain:
             ok &= (pts[:, i] > 0.0) & (pts[:, i] < cap)
         return bool(ok[0]) if single else ok
 
-    def contains_closure(self, x, tol: float = 1e-12):
-        """Membership in the closed region, up to an absolute tolerance."""
-        pts = np.atleast_2d(np.asarray(x, dtype=float))
-        single = np.asarray(x).ndim == 1
-        t = pts[:, -1]
-        ok = (t >= -tol) & (t <= 1.0 + tol)
-        safe_t = np.clip(t, 0.0, None)
-        for i, g in enumerate(self.gamma_exponents):
-            ok &= (pts[:, i] >= -tol) & (pts[:, i] <= safe_t**g + tol)
-        return bool(ok[0]) if single else ok
-
 
 def reference_domain(n: int) -> CuspDomain:
     """The Lipschitz cone: all profile exponents equal to 1."""

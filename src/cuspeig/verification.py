@@ -22,6 +22,7 @@ from .bounds import (
     k_ps_bound,
     lambda_32_lower_bound,
     lambda_lower_bound,
+    lower_bound_report,
     m_rq_bound,
     m_rq_exact,
 )
@@ -215,12 +216,16 @@ def consistency_report(
 ) -> dict:
     """Computed eigenvalue versus the closed-form lower bound.
 
+    The bound is the one :func:`lower_bound_report` gives for (p, q) with
+    default (s, r), 2-D included; it is evaluated before any solve, so an
+    inadmissible (p, q, gamma) raises :class:`BoundConfigError` at once.
     The continuum bound must sit below the discrete eigenvalue, solved to
     weak residual 1e-4, up to a 5 percent discretization slack; the gap
     factor is recorded, not asserted tight.  When both routes are
     requested, the smaller eigenvalue is compared, and a disagreement of
     more than 1 percent between the routes fails the report.
     """
+    bound, s, r = lower_bound_report(domain, p, q, allow_n2=True)
     mesh = mesh_cusp(domain, 1.0, resolution)
     report: dict = {
         "domain": list(domain.gamma_exponents),
@@ -228,6 +233,9 @@ def consistency_report(
         "q": q,
         "resolution": resolution,
         "method": method,
+        "s": s,
+        "r": r,
+        "a_star": bound.a_star,
     }
     tol = 1e-4  # weak-residual tolerance of either route
     routes_agree = True
@@ -243,20 +251,9 @@ def consistency_report(
     else:
         lam = solve_eigenpair(mesh, p, q, method, tol)[0].lam
     report["lambda_numeric"] = lam
-
-    n, gamma = domain.n, domain.gamma
-    if n == 3 and p == 3.0 and q == 2.0 and 3.0 <= gamma < 6.0:
-        bound = lambda_32_lower_bound(*domain.gamma_exponents)
-        report["bound_source"] = "lambda32-closed-form"
-    else:
-        cfg = ExponentConfig.from_domain(domain, p, q)
-        bound = lambda_lower_bound(cfg, domain, allow_n2=True).lambda_lower
-        report["bound_source"] = (
-            "optimized-composite" if n >= 3 else "optimized-composite-n2-extension"
-        )
-    report["lambda_lower"] = bound
-    report["gap_factor"] = lam / bound
-    report["passed"] = routes_agree and lam >= 0.95 * bound
+    report["lambda_lower"] = bound.lambda_lower
+    report["gap_factor"] = lam / bound.lambda_lower
+    report["passed"] = routes_agree and lam >= 0.95 * bound.lambda_lower
     return report
 
 

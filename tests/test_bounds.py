@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 import cuspeig as ce
-from cuspeig.bounds import BoundConfigError
+from cuspeig.bounds import BoundConfigError, _objective, _stationary_points
 
 TWELVE_PI = 12.0 * math.pi
 
@@ -38,8 +38,8 @@ class TestExponentConfig:
         with pytest.raises(BoundConfigError, match=match):
             ce.ExponentConfig(**kwargs)
 
-    def test_defaults_rule(self):
-        cfg = ce.ExponentConfig.with_defaults(3, 3.0, 2.0, 4.0)
+    def test_defaults_rule(self, domain_gamma4):
+        cfg = ce.ExponentConfig.from_domain(domain_gamma4, 3.0, 2.0)
         # s targets ns/(n-s) = 1.05 * p*_gamma, clamped into the window;
         # r is the midpoint of q and the subcritical ceiling.
         s_rule = 3 * (1.05 * 12.0) / (3 + 1.05 * 12.0)
@@ -52,9 +52,19 @@ class TestExponentConfig:
 
     @pytest.mark.parametrize("gamma", [3.2, 3.5, 4.0, 5.0, 5.9, 8.0])
     def test_defaults_always_admissible(self, gamma):
-        cfg = ce.ExponentConfig.with_defaults(3, 3.0, 2.0, gamma)
+        sigma = (gamma - 1.0) / 2.0
+        cfg = ce.ExponentConfig.from_domain(ce.CuspDomain((sigma, sigma)), 3.0, 2.0)
+        assert cfg.gamma == pytest.approx(gamma, rel=1e-15)
         lo, hi = ce.admissible_interval(cfg)
         assert lo < hi
+
+    @pytest.mark.parametrize("gammas", [(2.0,), (1.0, 1.0)])
+    @pytest.mark.parametrize("p", [3.0, 3.5])
+    def test_defaults_reject_p_at_or_above_gamma(self, gammas, p):
+        # gamma = 3 for both domains: p = gamma used to divide by zero, and
+        # p > gamma used to blame the derived s.
+        with pytest.raises(BoundConfigError, match="requires p < gamma"):
+            ce.ExponentConfig.from_domain(ce.CuspDomain(gammas), p, 2.0)
 
 
 class TestKps:
@@ -215,6 +225,36 @@ class TestLambdaLowerBound:
         assert report.lambda_lower == pytest.approx(
             ce.lambda_32_lower_bound(1.5, 1.5), rel=1e-12
         )
+
+    def test_pin_outside_window_rejected(self, cfg_gamma4, domain_gamma4):
+        lo, hi = ce.admissible_interval(cfg_gamma4)
+        for a in (hi, lo - 5e-13):
+            with pytest.raises(BoundConfigError, match="outside admissible interval"):
+                ce.lambda_lower_bound(cfg_gamma4, domain_gamma4, fixed_a=a)
+        report = ce.lambda_lower_bound(cfg_gamma4, domain_gamma4, fixed_a=lo)
+        assert report.a_star == lo
+
+    def test_minimizer_is_a_window_end_or_stationary(self, cfg_gamma4, domain_gamma4):
+        # d ln F/da vanishes at the quadratic's roots (here outside the
+        # window; q >= p makes them real); the window end beats a dense
+        # sample of the window.
+        b_const = ce.b_rs_estimate(3, 2.5, 1.5)
+        assert _stationary_points(3.0, 2.0, domain_gamma4) == []
+        for p, q in ((3.0, 9.0), (1.5, 2.0), (2.0, 2.0)):
+            roots = _stationary_points(p, q, domain_gamma4)
+            assert len(roots) == 2
+            for a in roots:
+                if a <= 0.0:
+                    continue
+                h = 1e-6 * a
+                up = math.log(_objective(a + h, p, q, domain_gamma4, b_const))
+                down = math.log(_objective(a - h, p, q, domain_gamma4, b_const))
+                assert abs(up - down) / (2 * h) < 1e-7
+        report = ce.lambda_lower_bound(cfg_gamma4, domain_gamma4)
+        lo, hi = report.interval
+        dense = np.linspace(lo + 1e-9, hi - 1e-9, 20_001)
+        f_min = min(_objective(a, 3.0, 2.0, domain_gamma4, report.b_rs) for a in dense)
+        assert report.upper_on_inverse_lambda <= f_min
 
     def test_two_dimensional_gate(self):
         domain = ce.CuspDomain((2.0,))

@@ -175,7 +175,12 @@ def test_mesh_cusp_volume_convergence(cusp_domain_2d):
 
 
 def test_mesh_cusp_nodes_in_closure(cusp_domain_2d, cusp16):
-    assert np.all(cusp_domain_2d.contains_closure(cusp16.nodes, tol=1e-12))
+    tol = 1e-12
+    x_n = cusp16.nodes[:, -1]
+    assert np.all((x_n >= -tol) & (x_n <= 1.0 + tol))
+    for i, g in enumerate(cusp_domain_2d.gamma_exponents):
+        x_i = cusp16.nodes[:, i]
+        assert np.all((x_i >= -tol) & (x_i <= np.clip(x_n, 0.0, None) ** g + tol))
 
 
 def test_mesh_cusp_positive_volumes():

@@ -7,6 +7,7 @@ import scipy.linalg as sla
 
 import cuspeig as ce
 from cuspeig import verification
+from cuspeig.bounds import BoundConfigError
 from cuspeig.discretization import EnergyAssembly, assembly
 from cuspeig.verification import (
     algebraic_inequality_stats,
@@ -157,30 +158,44 @@ class TestPoincareSweep:
 
 class TestConsistencyReport:
     def test_cusp_bound_ordering(self):
-        report = ce.consistency_report(
-            ce.CuspDomain((1.5, 1.5)), 3.0, 2.0, resolution=6
-        )
+        domain = ce.CuspDomain((1.5, 1.5))
+        report = ce.consistency_report(domain, 3.0, 2.0, resolution=6)
         assert report["passed"]
         assert report["gap_factor"] > 1.0
-        assert report["bound_source"] == "lambda32-closed-form"
+        # The bound is the one entry point's, with the (s, r, a) it used.
+        bound, s, r = ce.lower_bound_report(domain, 3.0, 2.0)
+        assert report["lambda_lower"] == bound.lambda_lower
+        assert (report["s"], report["r"], report["a_star"]) == (s, r, bound.a_star)
 
     def test_lipschitz_case(self):
-        report = ce.consistency_report(
-            ce.CuspDomain((1.0, 1.0)), 3.0, 2.0, resolution=6
-        )
+        domain = ce.CuspDomain((1.0, 1.0))
+        report = ce.consistency_report(domain, 3.0, 2.0, resolution=6)
         assert report["passed"]
-        assert report["lambda_lower"] == pytest.approx(
-            ce.lambda_32_lower_bound(1.0, 1.0), rel=1e-12
-        )
+        bound, _s, _r = ce.lower_bound_report(domain, 3.0, 2.0)
+        assert report["lambda_lower"] == bound.lambda_lower
+        assert report["a_star"] == 1.0
 
     def test_both_routes(self):
-        report = ce.consistency_report(
-            ce.CuspDomain((2.0,)), 2.0, 2.0, resolution=8, method="both"
-        )
+        domain = ce.CuspDomain((2.0,))
+        report = ce.consistency_report(domain, 2.0, 2.0, resolution=8, method="both")
         assert report["passed"]
         assert report["route_disagreement"] <= 0.01
-        # 2-D bounds go through the formula extension, flagged as such.
-        assert report["bound_source"] == "optimized-composite-n2-extension"
+        # 2-D bounds go through the formula extension.
+        bound, _s, _r = ce.lower_bound_report(domain, 2.0, 2.0, allow_n2=True)
+        assert report["lambda_lower"] == bound.lambda_lower
+
+    @pytest.mark.parametrize(
+        "p,q,match",
+        [(3.0, 2.0, "p < gamma"), (3.5, 2.0, "p < gamma"), (2.0, 7.0, "p\\*_gamma")],
+    )
+    def test_inadmissible_config_fails_before_solving(self, monkeypatch, p, q, match):
+        calls = []
+        monkeypatch.setattr(
+            verification, "solve_eigenpair", lambda *args: calls.append(args)
+        )
+        with pytest.raises(BoundConfigError, match=match):
+            ce.consistency_report(ce.CuspDomain((2.0,)), p, q, resolution=4)
+        assert calls == []
 
     def test_route_disagreement_fails(self, monkeypatch):
         # Routes 5 percent apart: the report must fail even though the
