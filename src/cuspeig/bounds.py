@@ -206,7 +206,8 @@ def admissible_interval(cfg: ExponentConfig) -> tuple[float, float]:
     """Window (n/gamma, p(n-s)/(s(gamma-p))) of admissible mapping exponents.
 
     The lower endpoint dominates (n-p)/(gamma-p), so n/gamma is the binding
-    constraint.  Raises when the window is empty; pick a smaller s then.
+    constraint, and admissible itself except at gamma = n, where the two
+    coincide.  Raises when the window is empty; pick a smaller s then.
     """
     lo = cfg.n / cfg.gamma
     hi = cfg.p * (cfg.n - cfg.s) / (cfg.s * (cfg.gamma - cfg.p))
@@ -245,7 +246,10 @@ class BoundReport:
 def _objective(a: float, p: float, q: float, domain: CuspDomain, b_const: float) -> float:
     """F(a) = a**(p/q-1) Q(a)**(p/2) B**p, Q(a) = sum (a g_i - 1)^2 + n - 1 + a^2."""
     square_sum = sum((a * g - 1.0) ** 2 for g in domain.gamma_exponents)
-    val = a ** (p / q - 1.0) * (square_sum + (domain.n - 1) + a * a) ** (p / 2.0) * b_const**p
+    try:
+        val = a ** (p / q - 1.0) * (square_sum + (domain.n - 1) + a * a) ** (p / 2.0) * b_const**p
+    except OverflowError:  # a float power raises; a product of finite ones gives inf
+        val = math.inf
     if not math.isfinite(val):
         raise BoundConfigError(f"non-finite objective at a={a}")
     return val
@@ -314,8 +318,8 @@ def lambda_lower_bound(
     at the quadratic's real roots inside them.  ``evaluations`` samples F
     at 512 evenly spaced points of the shrunk window.  Pass ``b_constant``
     to replace the Poincare estimate (e.g. by 12*pi) and ``fixed_a`` to pin
-    the mapping exponent instead of optimizing; a pin outside [lo, hi) is
-    refused.
+    the mapping exponent instead of optimizing; a pin outside [lo, hi), or
+    at lo where the window is open (gamma = n), is refused.
 
     The composite estimate is stated for n >= 3; 2-D evaluation is refused
     unless ``allow_n2`` is set.
@@ -330,10 +334,11 @@ def lambda_lower_bound(
     p, q = cfg.p, cfg.q
     b_const = b_rs_estimate(cfg.n, cfg.r, cfg.s) if b_constant is None else b_constant
     lo, hi = admissible_interval(cfg)
-    if fixed_a is not None and not lo <= fixed_a < hi:
+    closed = lo > (cfg.n - p) / (cfg.gamma - p)
+    if fixed_a is not None and not (lo < fixed_a < hi or (closed and fixed_a == lo)):
         raise BoundConfigError(
             f"pinned exponent a={fixed_a} outside admissible interval "
-            f"[{lo:.6g}, {hi:.6g})"
+            f"{'[' if closed else '('}{lo:.6g}, {hi:.6g})"
         )
     lo_c, hi_c = lo + _ENDPOINT_MARGIN, hi - _ENDPOINT_MARGIN
     if fixed_a is None:

@@ -234,6 +234,17 @@ class TestLambdaLowerBound:
         report = ce.lambda_lower_bound(cfg_gamma4, domain_gamma4, fixed_a=lo)
         assert report.a_star == lo
 
+    def test_pin_at_open_lower_end_rejected(self):
+        # At gamma = n the distortion's open lower end (n-p)/(gamma-p)
+        # reaches n/gamma = 1, so a = 1 is refused there, with the window's
+        # own message rather than k_ps_bound's; just above it is admissible.
+        domain = ce.CuspDomain((1.0, 1.0))
+        with pytest.raises(BoundConfigError, match=r"outside admissible interval \(1, "):
+            ce.lower_bound_report(domain, 2.5, 2.0, fixed_a=1.0)
+        report, _, _ = ce.lower_bound_report(domain, 2.5, 2.0, fixed_a=1.0 + 1e-6)
+        assert report.a_star == 1.0 + 1e-6
+        assert report.lambda_lower > 0.0
+
     def test_minimizer_is_a_window_end_or_stationary(self, cfg_gamma4, domain_gamma4):
         # d ln F/da vanishes at the quadratic's roots (here outside the
         # window; q >= p makes them real); the window end beats a dense

@@ -78,6 +78,13 @@ class TestBoundCommand:
         assert code == 2
         assert "1/s-1/r" in capsys.readouterr().err
 
+    def test_overflowing_objective_exit_code(self, capsys):
+        # B**p overflows a float at p = 200: a configuration error, not a
+        # traceback.
+        code = run_cli(["bound", "--n", 3, "--p", 200, "--q", 2, "--gammas", "100,100"])
+        assert code == 2
+        assert "non-finite objective" in capsys.readouterr().err
+
     def test_two_dimensional_gate(self, capsys):
         assert run_cli(["bound", "--n", 2, "--p", 1.5, "--q", 1.2, "--gammas", "2"]) == 2
         assert "unsafe-n2" in capsys.readouterr().err
