@@ -154,10 +154,15 @@ class TestInverseIteration:
 
     # The inner tolerance follows the outer weak residual: on this cusp,
     # 1e-11 inner solves at every step took 51 and 69 factorizations, and
-    # 1000-fold inner cuts 14 and 13; 10-fold cuts take 10 and 10.
+    # 1000-fold inner cuts 14 and 13; 10-fold cuts take 10 and 10. The
+    # case ids keep the earlier ceilings 30 and 55 so the cases keep their
+    # names.
     @pytest.mark.parametrize(
         "p, lam_ref, max_factorizations",
-        [(2.5, 27.890500604215, 12), (3.0, 69.4090314701951, 12)],
+        [
+            pytest.param(2.5, 27.890500604215, 12, id="2.5-27.890500604215-30"),
+            pytest.param(3.0, 69.4090314701951, 12, id="3.0-69.4090314701951-55"),
+        ],
     )
     def test_inexact_inner_solves(
         self, cusp_g2_res32, monkeypatch, p, lam_ref, max_factorizations
