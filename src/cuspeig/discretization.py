@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
+from scipy.linalg import LinAlgError, blas, cho_solve_banded, cholesky_banded
 
 from .geometry import Mesh
 
@@ -286,9 +286,8 @@ class EnergyAssembly:
         return self.bordered_solve(self._neumann_lu, rhs)
 
     def dual_norm(self, residual: np.ndarray) -> float:
-        """Norm of a load functional on the zero-mean space, via K^{-1}."""
-        v = self.solve_neumann(residual)
-        return float(np.sqrt(max(residual @ v, 0.0)))
+        """Norm of a load on the zero-mean space: sqrt(b . K_ff^{-1} b), b the grounded load."""
+        return self._neumann_lu.inverse_norm(self.project_load(residual)[self.free])
 
 
 class _BandCholesky:
@@ -315,6 +314,11 @@ class _BandCholesky:
             (self._band, False), rhs[self._order], overwrite_b=True, check_finite=False
         )
         return x[self._rank]
+
+    def inverse_norm(self, rhs: np.ndarray) -> float:
+        """sqrt(rhs . A^{-1} rhs) = ||U^{-T} rhs|| for A = U^T U: one forward substitution."""
+        y = blas.dtbsv(len(self._band) - 1, self._band, rhs[self._order], trans=1, overwrite_x=1)
+        return float(np.sqrt(y @ y))
 
     @cached_property
     def U(self) -> sp.dia_matrix:

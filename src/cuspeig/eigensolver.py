@@ -15,8 +15,8 @@ converge to a common eigenvalue.
 Both routes stop on one weak residual: the defect of the weak
 Euler-Lagrange equation over that of its right-hand side, both in the
 dual norm of the zero-mean space, ||r||_* = sqrt(r . K^{-1} r) with K the
-stiffness.  Lambda's solver error is then quadratic in it, about 1.5 r^2
-on the cusp meshes.
+stiffness, and raise once it stagnates.  Lambda's solver error is then
+quadratic in it, about 1.5 r^2 on the cusp meshes.
 
 The inner source problem is strictly convex on the zero-mean subspace and
 is solved by damped Newton with sparse factorizations.  The inner solves
@@ -68,6 +68,10 @@ _ARMIJO_FACTOR = 1e-4
 _INNER_TOL_FLOOR = 1e-11
 _INNER_TOL_RATIO = 0.1
 
+# Lambda's relative solver error over the squared weak residual: the upper
+# end of the [0.5, 3] that test_weak_residual_bounds_the_lambda_error pins.
+_LAMBDA_ERROR_PER_R2 = 3.0
+
 
 @dataclass
 class EigenPair:
@@ -108,6 +112,16 @@ def _weak_residual(asm, lhs: np.ndarray, rhs: np.ndarray) -> float:
     if den == 0.0:
         return math.inf if num > 0.0 else 0.0
     return num / den
+
+
+def _check_progress(recent: deque, resid: float, solver: str, iteration: int, tol: float) -> None:
+    """Raise once resid is not 3% below its floor, the least residual in recent; else record it."""
+    if len(recent) == recent.maxlen and resid >= 0.97 * min(recent):
+        raise ConvergenceError(
+            f"{solver} stagnated at step {iteration}: weak residual {resid:.3e} against "
+            f"its floor {min(recent):.3e} over the last {recent.maxlen} steps (tolerance {tol:g})"
+        )
+    recent.append(resid)
 
 
 def check_weak_residual(u: ScalarField, lam: float, p: float, q: float) -> float:
@@ -289,11 +303,11 @@ def inverse_iteration(
     (route A's flatness threshold), w_{n+1} = z/||z||.  The step keeps the
     fixed points, since d = 0 there, and the interleaving
     mu_{n+1} <= ||grad w_{n+1}||^p <= mu_n, since it only lowers the
-    quotient of the next source.  Stops once the relative change of mu over
-    three consecutive steps is below ``tol`` and the weak residual of
-    w_{n+1} is below ``residual_tol``.  Returns the eigenpair and the full
-    iteration trace; ``diagnostics`` counts the accepted steps
-    (``extrapolations``) and the ray trials (``ray_trials``).
+    quotient of the next source.  Stops at the first step where the weak
+    residual r of w_{n+1} is at most ``residual_tol`` and 3 r^2, a bound
+    on lambda's relative solver error, at most ``tol``.  Returns the
+    eigenpair and the full iteration trace; ``diagnostics`` counts the
+    accepted steps (``extrapolations``) and the ray trials (``ray_trials``).
 
     The inner solves are inexact: step n solves to the relative dual-norm
     gradient max(1e-11, 0.1 * min(r, 1)), with r the weak residual of step
@@ -316,6 +330,7 @@ def inverse_iteration(
     trace: list[IterationState] = []
     energy_prev = _energy_from_gradients(asm, asm.gradients(w), p)
     resid = math.inf
+    recent_resids: deque = deque(maxlen=25)
     t_prev = 1.0
     extrapolations = ray_trials = 0
     for iteration in range(1, max_iter + 1):
@@ -372,16 +387,9 @@ def inverse_iteration(
                 inner_tol=step_tol,
             )
         )
-        if len(trace) >= 3:
-            recent = [state.mu for state in trace[-3:]]
-            drift = max(abs(b - a) for a, b in zip(recent, recent[1:]))
-            if drift <= tol * abs(mu) and resid <= residual_tol:
-                break
-        if (
-            iteration > 1
-            and resid > residual_tol
-            and np.array_equal(z.values, asm.zero_mean(warm.values))
-        ):
+        if resid <= residual_tol and _LAMBDA_ERROR_PER_R2 * resid * resid <= tol:
+            break
+        if iteration > 1 and np.array_equal(z.values, asm.zero_mean(warm.values)):
             # From step 2 on the warm start's gradient is the previous weak
             # residual, above the inner tolerance unless that is at its
             # floor, so an unchanged return means the solve is at its float
@@ -392,6 +400,7 @@ def inverse_iteration(
                 f"returned its warm start unchanged at its float floor (weak "
                 f"residual {resid:.3e}, residual_tol {residual_tol:g})"
             )
+        _check_progress(recent_resids, resid, "inverse iteration", iteration, residual_tol)
     else:
         raise ConvergenceError(
             f"inverse iteration did not converge in {max_iter} steps "
@@ -602,15 +611,7 @@ def minimize_rayleigh(
         history.append((rayleigh, resid, abs(_constraint_from_values(asm, vals_u, q))))
         if resid <= tol:
             break
-        if (
-            len(recent_resids) == recent_resids.maxlen
-            and resid >= 0.97 * min(recent_resids)
-        ):
-            raise ConvergenceError(
-                f"Rayleigh descent stagnated at residual {resid:.3e} "
-                f"(tolerance {tol:g}) after {iteration} iterations"
-            )
-        recent_resids.append(resid)
+        _check_progress(recent_resids, resid, "Rayleigh descent", iteration, tol)
         grad_r = p * (kp - rhs)
         if p == 2.0:
             step = -asm.solve_neumann(grad_r)
@@ -668,8 +669,8 @@ def solve_eigenpair(
 ) -> tuple[EigenPair, list[IterationState]]:
     """First nontrivial eigenpair by route A ("minimize") or B ("iterate").
 
-    ``tol`` bounds the weak residual of either route; route B also waits
-    for its multiplier drift to fall below tol / 100, floored at 1e-10.
+    ``tol`` bounds the weak residual of either route; route B's bound 3 r^2
+    on lambda's relative error is tol / 100, floored at 1e-10.
     Returns the pair and the inverse-iteration trace, empty for route A.
     """
     if not tol > 0.0:

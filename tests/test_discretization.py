@@ -465,6 +465,30 @@ def test_2d_grounded_solve_is_accurate_on_the_cusp(cusp_domain_2d, rng):
 
 
 @pytest.mark.parametrize(
+    "make_mesh",
+    [
+        lambda: ce.mesh_cusp(ce.CuspDomain((2.0,)), 1.0, 32),
+        lambda: ce.mesh_cusp(ce.CuspDomain((1.5, 1.5)), 1.0, 6),
+        lambda: ce.mesh_box(ce.BoxDomain((1.0, 1.0)), 16),
+    ],
+    ids=["cusp2d_res32", "cusp3d_res6", "square_res16"],
+)
+def test_dual_norm_is_the_solve_pairing(make_mesh, rng):
+    # One forward substitution gives the same norm as the full Neumann
+    # solve, for loads whose total is not zero, and the norm ignores the
+    # part of a load that only pairs with constants.
+    mesh = make_mesh()
+    asm = assembly(mesh)
+    for _ in range(3):
+        load = asm.mass @ rng.uniform(-1.0, 2.0, mesh.num_nodes)
+        assert abs(load.sum()) > 1e-3 * np.abs(load).sum()
+        norm = asm.dual_norm(load)
+        assert norm == pytest.approx(math.sqrt(load @ asm.solve_neumann(load)), rel=1e-13)
+        shifted = asm.dual_norm(load + 3.7 * asm.mass_vector)
+        assert shifted == pytest.approx(norm, rel=1e-13)
+
+
+@pytest.mark.parametrize(
     "make_mesh, per_level",
     [
         (lambda: ce.mesh_cusp(ce.CuspDomain((2.0,)), 1.0, 32), 33),

@@ -253,15 +253,41 @@ class TestInverseIteration:
     def test_restart_from_converged_pair(self, cusp16, residual_tol):
         # The first step's inner tolerance is 0.1, which the converged
         # start already meets, so step 1 returns its warm start
-        # unchanged; the weak residual 3.6e-6 of that start sits between
-        # the two tolerances.
-        pair, _ = ce.inverse_iteration(cusp16, 3.0, tol=1e-8, residual_tol=1e-5)
+        # unchanged; the weak residual 1.5e-6 of that start sits between
+        # the two tolerances.  The first solve asks for lambda to 1e-10,
+        # the accuracy the restart is checked to: at tol 1e-8 it stops at
+        # r = 8e-6, whose lambda lies 1.04e-10 from the restarted one.
+        pair, _ = ce.inverse_iteration(cusp16, 3.0, tol=1e-10, residual_tol=1e-5)
         again, trace = ce.inverse_iteration(
             cusp16, 3.0, w0=pair.u, tol=1e-8, residual_tol=residual_tol
         )
         assert again.weak_residual <= residual_tol
         assert again.lam == pytest.approx(pair.lam, rel=1e-10)
         assert len(trace) <= 5
+
+    # residual_tol binds in the first case: r reads 2.5e-5 and 4.8e-6 at
+    # steps 6 and 7, where a mu-drift window held the stop until step 8.
+    # The lambda bound 3 r^2 <= tol (r <= 1.8e-6) binds in the second.
+    @pytest.mark.parametrize("tol, residual_tol", [(1e-8, 1e-5), (1e-11, 1e-5)])
+    def test_stops_at_first_step_meeting_both_conditions(self, cusp_g2_res32, tol, residual_tol):
+        p = 2.5
+        _pair, trace = ce.inverse_iteration(cusp_g2_res32, p, tol=tol, residual_tol=residual_tol)
+
+        def converged(state):
+            r = ce.check_weak_residual(state.w, ce.rayleigh_quotient(state.w, p, 2.0), p, 2.0)
+            return r <= residual_tol and eigensolver._LAMBDA_ERROR_PER_R2 * r * r <= tol
+
+        assert converged(trace[-1])
+        assert not any(converged(state) for state in trace[:-1])
+
+    def test_residual_floor_fails_fast(self, cusp_g2_res32):
+        # At p = 2 route B's weak residual levels off at 3.85e-8 on this
+        # cusp; without the stagnation test it ran all 500 steps there.
+        with pytest.raises(ConvergenceError, match="stagnated") as info:
+            ce.inverse_iteration(cusp_g2_res32, 2.0, tol=1e-10, residual_tol=1e-8)
+        message = str(info.value)
+        assert int(re.search(r"at step (\d+)", message).group(1)) <= 30
+        assert re.search(r"weak residual \S+ against its floor \S+", message)
 
     def test_eigenpair_invariants(self, cusp16):
         pair, _ = ce.inverse_iteration(cusp16, 2.5, tol=1e-8, residual_tol=1e-5)
