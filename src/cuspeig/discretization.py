@@ -358,8 +358,14 @@ def _energy_from_gradients(
 ) -> float:
     """int (|grad u|^2 + eps^2)^(p/2) from the (C, n) cell gradients of u."""
     sq = np.einsum("ci,ci->c", grads, grads) + eps * eps
-    density = np.sqrt(sq) ** p if eps == 0.0 else sq ** (p / 2.0)
-    return float(np.sum(asm.volumes * density))
+    return float(np.sum(asm.volumes * sq ** (p / 2.0)))
+
+
+def _flux_weight(sq: np.ndarray, p: float) -> np.ndarray:
+    """|g|^(p-2) from sq = |g|^2 per cell, 0 where g = 0 for p < 2: the one flux weight."""
+    if p >= 2.0:
+        return sq ** ((p - 2.0) / 2.0)
+    return np.power(sq, (p - 2.0) / 2.0, out=np.zeros_like(sq), where=sq > 0.0)
 
 
 def lq_norm(u: ScalarField, q: float) -> float:
@@ -399,7 +405,7 @@ def _shift_functional(c: float, vals: np.ndarray, quad_w: np.ndarray, q: float):
         with np.errstate(invalid="ignore"):
             slope = (1.0 - q) * float(np.sum(quad_w * power / size))
         return float(np.sum(quad_w * np.copysign(power, shifted))), slope
-    weighted = quad_w * (size if q == 3.0 else size ** (q - 2.0))
+    weighted = quad_w * size ** (q - 2.0)
     return float(np.vdot(weighted, shifted)), (1.0 - q) * float(weighted.sum())
 
 
@@ -478,14 +484,7 @@ def _p_form_from_gradients(
 ) -> np.ndarray:
     """p_form_apply from the (C, n) cell gradients of u."""
     sq = np.einsum("ci,ci->c", g, g) + eps * eps
-    if eps == 0.0:
-        mag = np.sqrt(sq)
-        w = np.zeros_like(mag)
-        nz = mag > 0.0
-        w[nz] = mag[nz] ** (p - 2.0)
-    else:
-        w = sq ** ((p - 2.0) / 2.0)
-    return asm.scatter_flux(w[:, None] * g)
+    return asm.scatter_flux(_flux_weight(sq, p)[:, None] * g)
 
 
 def q_form_apply(u: ScalarField, q: float) -> np.ndarray:

@@ -2,15 +2,15 @@
 
 Route A minimizes the Rayleigh quotient directly over the discrete zero
 (q-1)-mean class by preconditioned Polak-Ribiere conjugate directions with
-projection onto the class after every step.  Route B (q = 2
-only) runs inverse power iteration: each step solves the p-Laplace problem
-with the previous normalized iterate as source, recovers the multiplier
-mu_n = ||z||_{L^2}^{-(p-1)} by p-homogeneity, and normalizes z.  From the
-second step on it then minimizes the quotient over span{z/||z||, w_n}, a
-locally optimal step (Knyazev, SIAM J. Sci. Comput. 23 (2001)), and
-renormalizes.  The step can only lower the source's quotient, so both the
-multipliers mu_n and the energies ||grad w_{n+1}||^p stay nonincreasing and
-converge to a common eigenvalue.
+projection onto the class after every step.  Route B (q = 2 only) runs
+inverse power iteration: each step solves the p-Laplace problem with the
+previous normalized iterate w_n as source, normalizes the solution z to w,
+and takes the multiplier mu_n = E(w) / <w_n, w> = ||z||^{-(p-1)}.  From the
+second step on it then minimizes the quotient over span{w, w_n}, a locally
+optimal step (Knyazev, SIAM J. Sci. Comput. 23 (2001)), and renormalizes.
+The step can only lower the source's quotient, so both the multipliers mu_n
+and the energies ||grad w_{n+1}||^p stay nonincreasing and converge to a
+common eigenvalue.
 
 Both routes stop on one weak residual: the defect of the weak
 Euler-Lagrange equation over that of its right-hand side, both in the
@@ -24,9 +24,8 @@ are inexact: a forcing term (Eisenstat & Walker, SIAM J. Sci. Comput. 17
 (1996)) asks each for a 10-fold gradient cut, one Newton step, down to a
 floor (inexact inverse iteration keeps the outer rate with an inner
 tolerance proportional to the eigen-residual; Golub & Ye, BIT 40 (2000);
-Freitag & Spence, ETNA 28 (2007)).  The ray-optimal rescale of each inner
-solution, not the inner accuracy, is what keeps the recorded mu_n and
-energy chains monotone to near machine precision.
+Freitag & Spence, ETNA 28 (2007)).  mu_n is exact for the z returned, so
+the mu_n and energy chains stay monotone to near machine precision.
 """
 
 from __future__ import annotations
@@ -42,6 +41,7 @@ from .discretization import (
     ScalarField,
     _constraint_from_values,
     _energy_from_gradients,
+    _flux_weight,
     _lq_norm_from_values,
     _p_form_from_gradients,
     _q_form_from_values,
@@ -88,9 +88,9 @@ class EigenPair:
 @dataclass
 class IterationState:
     """One inverse-iteration step: the normalized iterate after the locally
-    optimal step (the next step's source), the multiplier of the inner
-    solve, the iterate's energy, and the tolerance its inner p-Laplace solve
-    was given."""
+    optimal step (the next step's source), the multiplier E(w) / <w_n, w>
+    of the normalized inner solution w, the iterate's energy, and the
+    tolerance its inner p-Laplace solve was given."""
 
     w: ScalarField
     mu: float
@@ -145,13 +145,22 @@ def default_initial_field(mesh: Mesh) -> ScalarField:
     return ScalarField(mesh, asm.zero_mean(mesh.nodes[:, -1].copy()))
 
 
-def _l2_norm(asm, values: np.ndarray) -> float:
-    return float(np.sqrt(max(values @ (asm.mass @ values), 0.0)))
+def _normalized(mesh: Mesh, asm, values: np.ndarray, q: float) -> np.ndarray:
+    """values shifted to zero (q-1)-mean and scaled to unit L^q norm.
+
+    The one normalization of both routes: their starts, route A's accepted
+    steps, and route B's inner solutions and locally optimal steps.
+    """
+    projected = project_zero_mean(ScalarField(mesh, values), q).values
+    return projected / _lq_norm_from_values(asm, asm.quad_values(projected), q)
 
 
-def _p_energy(asm, values: np.ndarray, p: float, load: np.ndarray) -> float:
-    energy = _energy_from_gradients(asm, asm.gradients(values), p, eps=EPS_REGULARIZATION)
-    return float(energy / p - load @ values)
+def _initial_iterate(mesh: Mesh, asm, start: ScalarField | None, q: float) -> np.ndarray:
+    """The normalized start of either route, by default default_initial_field."""
+    start = start if start is not None else default_initial_field(mesh)
+    if float(np.max(start.values) - np.min(start.values)) == 0.0:
+        raise ValueError("initial field must be nonconstant")
+    return _normalized(mesh, asm, start.values, q)
 
 
 def _weighted_step(asm, grad: np.ndarray, *weights) -> np.ndarray:
@@ -174,12 +183,13 @@ def _weighted_step(asm, grad: np.ndarray, *weights) -> np.ndarray:
     return -asm.solve_neumann(grad)
 
 
-def _stationarity(asm, grads, vals, p: float, q: float, eps: float, scale: float = 1.0):
-    """(E, lhs, rhs, weak residual of lhs = rhs) from a field's cell arrays,
-    with E = int |grad u|^p, lhs its p-form and rhs = E * scale * q-form."""
+def _stationarity(asm, grads, vals, p: float, q: float, eps: float):
+    """(E, lhs, rhs, weak residual of lhs = rhs) from the cell arrays of a
+    field of unit L^q norm, with E = int |grad u|^p, lhs its p-form and
+    rhs = E * q-form."""
     energy = _energy_from_gradients(asm, grads, p)
     lhs = _p_form_from_gradients(asm, grads, p, eps)
-    rhs = energy * scale * _q_form_from_values(asm, vals, q)
+    rhs = energy * _q_form_from_values(asm, vals, q)
     return energy, lhs, rhs, _weak_residual(asm, lhs, rhs)
 
 
@@ -214,6 +224,9 @@ def solve_p_laplace_source(
     (eps-smoothed) convex energy runs until the dual norm of the energy
     gradient drops below ``tol`` relative to the dual norm of the load;
     strict convexity on the zero-mean subspace makes the minimizer unique.
+    At its float floor (a Newton decrement below 64 eps |phi|) it returns
+    above ``tol`` without an error; from a converged warm start that return
+    is ``zero_mean(warm_start)`` bitwise, which route B's stall check uses.
     """
     if not p > 1.0:
         raise ValueError(f"requires p > 1, got p={p}")
@@ -242,31 +255,32 @@ def solve_p_laplace_source(
         t = (pairing / energy) ** (1.0 / (p - 1.0)) if energy > 0.0 and pairing > 0.0 else 0.0
         v = t * v0
 
-    phi = _p_energy(asm, v, p, load)
-    # Below this decrement the energy decrease is not representable in
-    # float64, so the iterate is converged to working precision.
-    def at_float_floor(decrement: float) -> bool:
-        return decrement <= 64.0 * np.finfo(float).eps * (abs(phi) + 1e-300)
+    def objective(values: np.ndarray, g: np.ndarray) -> float:
+        return _energy_from_gradients(asm, g, p, eps=EPS_REGULARIZATION) / p - float(load @ values)
 
+    g = asm.gradients(v)
+    phi = objective(v, g)
     rel_grad = math.inf
     for iteration in range(max_iter):
-        g = asm.gradients(v)
         grad_vec = _p_form_from_gradients(asm, g, p, eps=EPS_REGULARIZATION) - load
         rel_grad = asm.dual_norm(grad_vec) / scale
         if rel_grad <= tol:
             return ScalarField(mesh, v)
         sq = np.einsum("ci,ci->c", g, g) + EPS_REGULARIZATION * EPS_REGULARIZATION
-        w1 = sq ** ((p - 2.0) / 2.0)
+        w1 = _flux_weight(sq, p)
         w2 = (p - 2.0) * sq ** ((p - 4.0) / 2.0)
         rank_rows = np.einsum("cik,ci->ck", asm.grads, g)  # d_c = G^T g
         direction = _weighted_step(asm, grad_vec, w1, w2, rank_rows)
         slope = float(grad_vec @ direction)
-        if at_float_floor(-slope):
+        # Below this decrement the energy decrease is not representable in
+        # float64, so the iterate is converged to working precision.
+        if -slope <= 64.0 * np.finfo(float).eps * (abs(phi) + 1e-300):
             return ScalarField(mesh, v)
         t = 1.0
         for _ in range(60):
             candidate = v + t * direction
-            phi_new = _p_energy(asm, candidate, p, load)
+            g = asm.gradients(candidate)
+            phi_new = objective(candidate, g)
             if phi_new <= phi + _ARMIJO_FACTOR * t * slope:
                 break
             t *= 0.5
@@ -294,14 +308,15 @@ def inverse_iteration(
 ) -> tuple[EigenPair, list[IterationState]]:
     """Inverse power iteration for the first nontrivial eigenpair (q = 2).
 
-    Each step solves the p-Laplace problem with source w_n and recovers
-    mu_n = ||z||_{L^2}^{-(p-1)} (exact by homogeneity of the p-form).  The
-    first step sets w_1 = z/||z||.  Later steps minimize the quotient along
-    z/||z|| + t d, d = z/||z|| - w_n, by route A's ray search, warm-started
-    from the last accepted t, and take the minimizer as w_{n+1} after
-    renormalizing; where the quotient falls by no more than 1e-12 relative
-    (route A's flatness threshold), w_{n+1} = z/||z||.  The step keeps the
-    fixed points, since d = 0 there, and the interleaving
+    Each step solves the p-Laplace problem with source w_n, normalizes the
+    solution z to w, and takes mu_n = E(w) / <w_n, w>, which is
+    ||z||^{-(p-1)} since testing the inner equation with z gives
+    E(z) = <w_n, z>.  The first step sets w_1 = w.  Later steps minimize
+    the quotient along w + t d, d = w - w_n, by route A's ray search,
+    warm-started from the last accepted t, and take the normalized
+    minimizer as w_{n+1}; where the quotient falls by no more than 1e-12
+    relative (route A's flatness threshold), w_{n+1} = w.  The step keeps
+    the fixed points, since d = 0 there, and the interleaving
     mu_{n+1} <= ||grad w_{n+1}||^p <= mu_n, since it only lowers the
     quotient of the next source.  Stops at the first step where the weak
     residual r of w_{n+1} is at most ``residual_tol`` and 3 r^2, a bound
@@ -315,18 +330,14 @@ def inverse_iteration(
     schedule.  The warm start of step n, w_n rescaled along its ray, has
     relative inner gradient exactly r, so every inner solve above the floor
     cuts its gradient 10-fold, which one damped Newton step does.  Each
-    step records its inner tolerance in the trace.
+    step records its inner tolerance in the trace.  An inner failure, or a
+    nonpositive pairing <w_n, w>, raises :class:`ConvergenceError` naming
+    the outer step.
     """
     if q != 2.0:
         raise ValueError("inverse iteration is formulated for q = 2 only")
     asm = assembly(mesh)
-    start = w0 if w0 is not None else default_initial_field(mesh)
-    w = asm.zero_mean(start.values.copy())
-    norm = _l2_norm(asm, w)
-    if norm == 0.0:
-        raise ValueError("initial field must be nonzero after mean removal")
-    w /= norm
-
+    w = _initial_iterate(mesh, asm, w0, 2.0)
     trace: list[IterationState] = []
     energy_prev = _energy_from_gradients(asm, asm.gradients(w), p)
     resid = math.inf
@@ -338,24 +349,18 @@ def inverse_iteration(
         theta = energy_prev ** (-1.0 / (p - 1.0)) if energy_prev > 0.0 else 1.0
         warm = ScalarField(mesh, theta * w)
         step_tol = max(_INNER_TOL_FLOOR, _INNER_TOL_RATIO * min(resid, 1.0))
-        z = solve_p_laplace_source(
-            mesh, p, ScalarField(mesh, w), tol=step_tol, warm_start=warm
-        )
-        # z is zero-mean up to round-off, which this removes.  It stays
-        # because the Newton step counts of later steps are chaotic in it.
-        zv = asm.zero_mean(z.values)
-        # Ray-optimal rescale: restores <A z, z> = <B w, z> exactly, which
-        # keeps the mu/energy chain monotone under inexact inner solves.
-        energy_z = _energy_from_gradients(asm, asm.gradients(zv), p)
-        pairing = float(w @ (asm.mass @ zv))
-        if energy_z > 0.0 and pairing > 0.0:
-            zv = zv * (pairing / energy_z) ** (1.0 / (p - 1.0))
-        s = _l2_norm(asm, zv)
-        if s == 0.0:
-            raise ConvergenceError("inner solve returned the zero field")
-        mu = s ** (-(p - 1.0))
-        source, w = w, zv / s
+        try:
+            z = solve_p_laplace_source(
+                mesh, p, ScalarField(mesh, w), tol=step_tol, warm_start=warm
+            )
+        except ConvergenceError as exc:
+            raise ConvergenceError(f"inverse iteration step {iteration}: {exc}") from exc
+        source, w = w, _normalized(mesh, asm, z.values, 2.0)
         grads, vals = asm.gradients(w), asm.quad_values(w)
+        pairing = float(source @ (asm.mass @ w))
+        if not pairing > 0.0:
+            raise ConvergenceError(f"inverse iteration step {iteration}: pairing {pairing:.3e}")
+        mu = _energy_from_gradients(asm, grads, p) / pairing
         if iteration > 1:
             # Locally optimal step: minimize the quotient over
             # span{w_{n+1}, w_n} along w + t d, d = w - w_n.
@@ -367,8 +372,7 @@ def inverse_iteration(
                 # Route A's flatness threshold: below it the quotient cannot
                 # tell the step from round-off.
                 if value0 - best_f > 1e-12 * value0:
-                    w = w + best_t * d
-                    w /= _l2_norm(asm, w)
+                    w = _normalized(mesh, asm, w + best_t * d, 2.0)
                     grads, vals = asm.gradients(w), asm.quad_values(w)
                     t_prev = best_t
                     extrapolations += 1
@@ -376,8 +380,7 @@ def inverse_iteration(
             # Freed before the next inner solve, whose factorization sets the
             # peak memory.
             del d, ray
-        scale = _lq_norm_from_values(asm, vals, 2.0) ** (p - 2.0)
-        energy_prev, _, _, resid = _stationarity(asm, grads, vals, p, 2.0, 0.0, scale)
+        energy_prev, _, _, resid = _stationarity(asm, grads, vals, p, 2.0, 0.0)
         trace.append(
             IterationState(
                 w=ScalarField(mesh, w),
@@ -407,13 +410,12 @@ def inverse_iteration(
             f"(last weak residual {resid:.3e})"
         )
 
-    u = w / _lq_norm_from_values(asm, asm.quad_values(w), 2.0)
     diagnostics = {
         "mu_final": trace[-1].mu,
         "extrapolations": extrapolations,
         "ray_trials": ray_trials,
     }
-    return _eigenpair(mesh, u, p, 2.0, iteration, diagnostics), trace
+    return _eigenpair(mesh, w, p, 2.0, iteration, diagnostics), trace
 
 
 class _Ray:
@@ -448,14 +450,7 @@ class _Ray:
         """(E, E') with E' = p sum vol |g|^(p-2) g.g_d, g = grad(u + t d)."""
         a, b, c = self.cell_terms
         sq = np.maximum(a + t * (2.0 * b + t * c), 0.0)
-        mag = np.sqrt(sq)
-        if self.p < 2.0:
-            weight = np.zeros_like(mag)
-            nz = mag > 0.0
-            weight[nz] = mag[nz] ** (self.p - 2.0)
-        else:
-            weight = mag ** (self.p - 2.0)
-        weight *= self.asm.volumes
+        weight = _flux_weight(sq, self.p) * self.asm.volumes
         return float(weight @ sq), self.p * float(weight @ (b + t * c))
 
     def shift_norm(self, t: float) -> tuple[float, float]:
@@ -583,17 +578,8 @@ def minimize_rayleigh(
     if not (p > 1.0 and q > 1.0):
         raise ValueError(f"requires p, q > 1, got p={p}, q={q}")
     asm = assembly(mesh)
-    start = u0 if u0 is not None else default_initial_field(mesh)
-    if float(np.max(start.values) - np.min(start.values)) == 0.0:
-        raise ValueError("initial field must be nonconstant")
+    u = _initial_iterate(mesh, asm, u0, q)
     eps = EPS_REGULARIZATION if p < 2.0 else 0.0
-
-    def normalized(values: np.ndarray) -> np.ndarray:
-        # project_zero_mean stays for the benchmark's project layer.
-        projected = project_zero_mean(ScalarField(mesh, values), q).values
-        return projected / _lq_norm_from_values(asm, asm.quad_values(projected), q)
-
-    u = normalized(start.values)
     history: list[tuple[float, float, float]] = []
     recent_resids: deque = deque(maxlen=25)
     t_prev = 1.0
@@ -622,7 +608,7 @@ def minimize_rayleigh(
             # strangles the step size; stale weights are nearly as bad.
             sq = np.einsum("ci,ci->c", grad_u, grad_u)
             floor = 1e-12 * (float(np.mean(sq)) or 1.0)
-            step = _weighted_step(asm, grad_r, (sq + floor) ** ((p - 2.0) / 2.0))
+            step = _weighted_step(asm, grad_r, _flux_weight(sq + floor, p))
         # Polak-Ribiere conjugate direction; the plain step where beta <= 0
         # or the conjugate direction does not descend.
         direction = step
@@ -648,7 +634,7 @@ def minimize_rayleigh(
         # factorization sets the peak memory.
         del ray
         if best_f <= rayleigh * (1.0 + 1e-14):
-            u = normalized(u + best_t * direction)
+            u = _normalized(mesh, asm, u + best_t * direction, q)
             t_prev = best_t
     else:
         raise ConvergenceError(

@@ -81,6 +81,21 @@ class TestPLaplaceSource:
         with pytest.raises(ValueError, match="zero mean"):
             ce.solve_p_laplace_source(square16, 2.0, f)
 
+    def test_float_floor_exit_returns_the_warm_start(self, square16, rng):
+        # From a converged warm start no Newton step can lower the energy
+        # in float64, so a tol below the float floor is not reached: the
+        # solve returns the zero-mean warm start bitwise, without an error,
+        # at a relative gradient near 9e-14.  Route B's stall check relies
+        # on that bitwise return.
+        asm = assembly(square16)
+        f = zero_mean_field(square16, rng.uniform(-1.0, 1.0, square16.num_nodes))
+        converged = ce.solve_p_laplace_source(square16, 3.0, f, tol=1e-12)
+        v = ce.solve_p_laplace_source(square16, 3.0, f, tol=1e-30, warm_start=converged)
+        assert np.array_equal(v.values, asm.zero_mean(converged.values))
+        load = asm.mass @ f.values
+        defect = p_form_apply(v, 3.0, eigensolver.EPS_REGULARIZATION) - load
+        assert 1e-30 < asm.dual_norm(defect) / asm.dual_norm(load) <= 1e-12
+
     def test_unreached_tol_names_step_and_gradient(self, square16, rng):
         f = zero_mean_field(square16, rng.uniform(-1.0, 1.0, square16.num_nodes))
         with pytest.raises(ConvergenceError) as info:
@@ -249,6 +264,51 @@ class TestInverseIteration:
         assert int(re.search(r"at step (\d+)", str(info.value)).group(1)) == stall_step
         assert len(calls) == stall_step
 
+    def test_inner_failure_names_the_outer_step(self, cusp_g2_res32, monkeypatch):
+        # From the third inner solve on every Newton step is 1e30 times too
+        # long, so no trial of its line search lowers the energy.
+        inner, weighted = eigensolver.solve_p_laplace_source, eigensolver._weighted_step
+        solves = [0]
+
+        def counted(*args, **kwargs):
+            solves[0] += 1
+            return inner(*args, **kwargs)
+
+        def overshooting(*args):
+            step = weighted(*args)
+            return 1e30 * step if solves[0] >= 3 else step
+
+        monkeypatch.setattr(eigensolver, "solve_p_laplace_source", counted)
+        monkeypatch.setattr(eigensolver, "_weighted_step", overshooting)
+        with pytest.raises(ConvergenceError) as info:
+            ce.inverse_iteration(cusp_g2_res32, 3.0, tol=1e-8, residual_tol=1e-6)
+        assert str(info.value).startswith("inverse iteration step 3: line search failed")
+
+    @pytest.mark.parametrize("p", [2.5, 3.0])
+    def test_multiplier_matches_the_ray_rescale(self, cusp_g2_res32, p):
+        # Route B takes mu_n = E(w) / <w_n, w> for the normalized inner
+        # solution w.  The ray-rescale formula, which scales z along its
+        # ray to E(z) = <w_n, z> and takes ||z||^(-(p-1)), agrees with it in
+        # exact arithmetic, also for an inexact z.  Each step's z is
+        # recomputed from the trace.
+        mesh = cusp_g2_res32
+        asm = assembly(mesh)
+        _pair, trace = ce.inverse_iteration(mesh, p, tol=1e-8, residual_tol=1e-6)
+        assert len(trace) >= 4
+        for n in range(2, len(trace)):
+            source = trace[n - 1]
+            theta = source.energy ** (-1.0 / (p - 1.0))
+            warm = ce.ScalarField(mesh, theta * source.w.values)
+            z = ce.solve_p_laplace_source(
+                mesh, p, source.w, tol=trace[n].inner_tol, warm_start=warm
+            )
+            zv = asm.zero_mean(z.values)
+            energy = ce.grad_norm_p(ce.ScalarField(mesh, zv), p)
+            pairing = source.w.values @ (asm.mass @ zv)
+            zv = zv * (pairing / energy) ** (1.0 / (p - 1.0))
+            rescaled_mu = math.sqrt(zv @ (asm.mass @ zv)) ** (-(p - 1.0))
+            assert trace[n].mu == pytest.approx(rescaled_mu, rel=1e-12)
+
     @pytest.mark.parametrize("residual_tol", [1e-5, 1e-6])
     def test_restart_from_converged_pair(self, cusp16, residual_tol):
         # The first step's inner tolerance is 0.1, which the converged
@@ -403,7 +463,7 @@ class TestMinimizeRayleigh:
 
 
 @pytest.mark.parametrize("q", [1.5, 2.0, 3.0, 4.0])
-@pytest.mark.parametrize("p", [2.0, 3.0])
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 def test_ray_quotient_matches_nodal_path(cusp_g2_res32, rng, p, q):
     # Route A's line-search trials evaluate phi(t) and phi'(t) from cell
     # arrays of u and d; the nodal path projects u + t d and re-gathers.
