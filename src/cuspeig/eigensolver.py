@@ -6,11 +6,12 @@ projection onto the class after every step.  Route B (q = 2 only) runs
 inverse power iteration: each step solves the p-Laplace problem with the
 previous normalized iterate w_n as source, normalizes the solution z to w,
 and takes the multiplier mu_n = E(w) / <w_n, w> = ||z||^{-(p-1)}.  From the
-second step on it then minimizes the quotient over span{w, w_n}, a locally
-optimal step (Knyazev, SIAM J. Sci. Comput. 23 (2001)), and renormalizes.
-The step can only lower the source's quotient, so both the multipliers mu_n
-and the energies ||grad w_{n+1}||^p stay nonincreasing and converge to a
-common eigenvalue.
+second step on it then minimizes the quotient along w - w_n and, from the
+third on, along w_n - w_{n-1}: the rays of a three-term locally optimal
+step over span{w, w_n, w_{n-1}}, the LOBPCG trial space (Knyazev, SIAM J.
+Sci. Comput. 23 (2001)), and renormalizes.  The step can only lower the
+source's quotient, so both the multipliers mu_n and the energies
+||grad w_{n+1}||^p stay nonincreasing and converge to a common eigenvalue.
 
 Both routes stop on one weak residual: the defect of the weak
 Euler-Lagrange equation over that of its right-hand side, both in the
@@ -19,13 +20,16 @@ stiffness, and raise once it stagnates.  Lambda's solver error is then
 quadratic in it, about 1.5 r^2 on the cusp meshes.
 
 The inner source problem is strictly convex on the zero-mean subspace and
-is solved by damped Newton with sparse factorizations.  The inner solves
-are inexact: a forcing term (Eisenstat & Walker, SIAM J. Sci. Comput. 17
-(1996)) asks each for a 10-fold gradient cut, one Newton step, down to a
-floor (inexact inverse iteration keeps the outer rate with an inner
-tolerance proportional to the eigen-residual; Golub & Ye, BIT 40 (2000);
-Freitag & Spence, ETNA 28 (2007)).  mu_n is exact for the z returned, so
-the mu_n and energy chains stay monotone to near machine precision.
+is solved by damped Newton with sparse factorizations.  The first starts
+from the scaled p = 2 solution unless the scaled source is lower in
+energy, as at an eigenfunction; each later one from the rescaled source.
+The inner solves are inexact: a forcing term (Eisenstat & Walker, SIAM J.
+Sci. Comput. 17 (1996)) asks each for a 10-fold gradient cut, mostly one
+Newton step, down to a floor (inexact inverse iteration keeps the outer
+rate with an inner tolerance proportional to the eigen-residual; Golub &
+Ye, BIT 40 (2000); Freitag & Spence, ETNA 28 (2007)).  mu_n is exact for
+the z returned, so the mu_n and energy chains stay monotone to near
+machine precision.
 """
 
 from __future__ import annotations
@@ -87,10 +91,10 @@ class EigenPair:
 
 @dataclass
 class IterationState:
-    """One inverse-iteration step: the normalized iterate after the locally
-    optimal step (the next step's source), the multiplier E(w) / <w_n, w>
-    of the normalized inner solution w, the iterate's energy, and the
-    tolerance its inner p-Laplace solve was given."""
+    """One inverse-iteration step: the normalized iterate after both rays
+    of the locally optimal step (the next step's source), the multiplier
+    E(w) / <w_n, w> of the normalized inner solution w, the iterate's
+    energy, and the tolerance its inner p-Laplace solve was given."""
 
     w: ScalarField
     mu: float
@@ -312,24 +316,28 @@ def inverse_iteration(
     solution z to w, and takes mu_n = E(w) / <w_n, w>, which is
     ||z||^{-(p-1)} since testing the inner equation with z gives
     E(z) = <w_n, z>.  The first step sets w_1 = w.  Later steps minimize
-    the quotient along w + t d, d = w - w_n, by route A's ray search,
-    warm-started from the last accepted t, and take the normalized
-    minimizer as w_{n+1}; where the quotient falls by no more than 1e-12
-    relative (route A's flatness threshold), w_{n+1} = w.  The step keeps
-    the fixed points, since d = 0 there, and the interleaving
+    the quotient by ``_ray_descent`` along d = w - w_n and then, from step
+    3 on, along d_2 = w_n - w_{n-1}: two rays toward the minimizer over
+    span{w, w_n, w_{n-1}}, the trial space of LOBPCG (at step 2 w_{n-1}
+    would be the start itself).  Each ray is warm-started from its own
+    last accepted t.  The field after both rays is w_{n+1}.  The step
+    keeps the fixed points, since d = d_2 = 0 there, and the interleaving
     mu_{n+1} <= ||grad w_{n+1}||^p <= mu_n, since it only lowers the
     quotient of the next source.  Stops at the first step where the weak
     residual r of w_{n+1} is at most ``residual_tol`` and 3 r^2, a bound
     on lambda's relative solver error, at most ``tol``.  Returns the
     eigenpair and the full iteration trace; ``diagnostics`` counts the
-    accepted steps (``extrapolations``) and the ray trials (``ray_trials``).
+    accepted steps along d (``extrapolations``) and along d_2
+    (``three_term_steps``), and the ray trials (``ray_trials``).
 
     The inner solves are inexact: step n solves to the relative dual-norm
     gradient max(1e-11, 0.1 * min(r, 1)), with r the weak residual of step
     n-1 (0.1 at the first step), so 1e-11 is the fixed floor of this
-    schedule.  The warm start of step n, w_n rescaled along its ray, has
-    relative inner gradient exactly r, so every inner solve above the floor
-    cuts its gradient 10-fold, which one damped Newton step does.  Each
+    schedule.  Step 1 starts from ``_first_start``: the scaled p = 2
+    solution, or the scaled source where that is lower in inner energy.
+    The warm start of step n > 1, w_n rescaled along its ray, has relative
+    inner gradient exactly r, so every inner solve above the floor cuts
+    its gradient 10-fold, which one damped Newton step mostly does.  Each
     step records its inner tolerance in the trace.  An inner failure, or a
     nonpositive pairing <w_n, w>, raises :class:`ConvergenceError` naming
     the outer step.
@@ -338,16 +346,21 @@ def inverse_iteration(
         raise ValueError("inverse iteration is formulated for q = 2 only")
     asm = assembly(mesh)
     w = _initial_iterate(mesh, asm, w0, 2.0)
+    source = None
     trace: list[IterationState] = []
-    energy_prev = _energy_from_gradients(asm, asm.gradients(w), p)
     resid = math.inf
     recent_resids: deque = deque(maxlen=25)
-    t_prev = 1.0
-    extrapolations = ray_trials = 0
+    # Per ray (along w - w_n, along w_n - w_{n-1}): last accepted t and the
+    # number of accepted steps.
+    t_prev, accepted = [1.0, 1.0], [0, 0]
+    ray_trials = 0
     for iteration in range(1, max_iter + 1):
-        # Optimal rescaling of w makes the warm start feasible-monotone.
-        theta = energy_prev ** (-1.0 / (p - 1.0)) if energy_prev > 0.0 else 1.0
-        warm = ScalarField(mesh, theta * w)
+        if iteration == 1:
+            warm = ScalarField(mesh, _first_start(asm, w, p))
+        else:
+            # Optimal rescaling of w makes the warm start feasible-monotone.
+            theta = energy_prev ** (-1.0 / (p - 1.0)) if energy_prev > 0.0 else 1.0
+            warm = ScalarField(mesh, theta * w)
         step_tol = max(_INNER_TOL_FLOOR, _INNER_TOL_RATIO * min(resid, 1.0))
         try:
             z = solve_p_laplace_source(
@@ -355,31 +368,29 @@ def inverse_iteration(
             )
         except ConvergenceError as exc:
             raise ConvergenceError(f"inverse iteration step {iteration}: {exc}") from exc
-        source, w = w, _normalized(mesh, asm, z.values, 2.0)
+        previous, source, w = source, w, _normalized(mesh, asm, z.values, 2.0)
         grads, vals = asm.gradients(w), asm.quad_values(w)
         pairing = float(source @ (asm.mass @ w))
         if not pairing > 0.0:
             raise ConvergenceError(f"inverse iteration step {iteration}: pairing {pairing:.3e}")
         mu = _energy_from_gradients(asm, grads, p) / pairing
-        if iteration > 1:
-            # Locally optimal step: minimize the quotient over
-            # span{w_{n+1}, w_n} along w + t d, d = w - w_n.
-            d = w - source
-            ray = _Ray(asm, grads, asm.gradients(d), vals, asm.quad_values(d), p, 2.0)
-            value0, slope0 = ray(0.0)
-            if slope0 < 0.0:
-                best_t, best_f = _ray_minimum(ray, value0, slope0, min(max(t_prev, 1e-3), 4.0))
-                # Route A's flatness threshold: below it the quotient cannot
-                # tell the step from round-off.
-                if value0 - best_f > 1e-12 * value0:
-                    w = _normalized(mesh, asm, w + best_t * d, 2.0)
-                    grads, vals = asm.gradients(w), asm.quad_values(w)
-                    t_prev = best_t
-                    extrapolations += 1
-            ray_trials += ray.trials
-            # Freed before the next inner solve, whose factorization sets the
-            # peak memory.
-            del d, ray
+        # Locally optimal step: minimize the quotient along w - w_n, then,
+        # from step 3 on, along w_n - w_{n-1} from the field the first ray
+        # gave; the two rays approximate its minimum over
+        # span{w, w_n, w_{n-1}}, the LOBPCG trial space.  At step 2 w_{n-1}
+        # is the start itself: from the benchmark's perturbed starts that
+        # ray took 42 trials for a relative gain of 2e-8 to 4e-8.
+        for k in range(min(iteration - 1, 2)):
+            d = w - source if k == 0 else source - previous
+            w, t, trials = _ray_descent(mesh, asm, w, grads, vals, d, p, t_prev[k])
+            ray_trials += trials
+            if t > 0.0:
+                grads, vals = asm.gradients(w), asm.quad_values(w)
+                t_prev[k] = t
+                accepted[k] += 1
+            # Freed before the next inner solve, whose factorization sets
+            # the peak memory.
+            del d
         energy_prev, _, _, resid = _stationarity(asm, grads, vals, p, 2.0, 0.0)
         trace.append(
             IterationState(
@@ -412,10 +423,55 @@ def inverse_iteration(
 
     diagnostics = {
         "mu_final": trace[-1].mu,
-        "extrapolations": extrapolations,
+        "extrapolations": accepted[0],
+        "three_term_steps": accepted[1],
         "ray_trials": ray_trials,
     }
     return _eigenpair(mesh, w, p, 2.0, iteration, diagnostics), trace
+
+
+def _first_start(asm, w: np.ndarray, p: float) -> np.ndarray:
+    """Start of the first inner solve for the source w: of w and the p = 2
+    solution K^{-1} f, f = M w, the one whose ray holds the lower inner
+    energy, scaled to that ray's minimizer.
+
+    Along v the minimum is -(1 - 1/p) (<f, v>^p / E(v))^(1/(p-1)), at the
+    scale (<f, v> / E(v))^(1/(p-1)).  From a smooth or a 1%-perturbed
+    start that is the p = 2 solution, which is smooth where the perturbed
+    start is rough at the tip; at an eigenfunction it is w, the exact inner
+    solution, so that the eigenfunction stays fixed.
+    """
+    load = asm.mass @ w
+    starts = []
+    for v in (w, asm.solve_neumann(load)):
+        pairing, energy = float(load @ v), _energy_from_gradients(asm, asm.gradients(v), p)
+        starts.append((pairing**p / energy, (pairing / energy) ** (1.0 / (p - 1.0)) * v))
+    return max(starts, key=lambda start: start[0])[1]
+
+
+def _ray_descent(mesh: Mesh, asm, w, grads, vals, d, p: float, t_prev: float):
+    """(w', t, trials): the quotient minimized along w + t d, t > 0, or
+    along w - t d where it rises along d, by route A's ray search from
+    t_prev.
+
+    w' is the normalized minimizer, or w with t = 0 where the quotient
+    falls by no more than 1e-12 relative (route A's flatness threshold,
+    below which it cannot tell the step from round-off).  The second ray
+    of a step starts uphill now and then on 16 x 16 boxes at p = 1.5 and 3.
+    """
+    ray = _Ray(asm, grads, asm.gradients(d), vals, asm.quad_values(d), p, 2.0)
+    value0, slope0 = ray(0.0)
+    if slope0 != 0.0:
+        sign = math.copysign(1.0, -slope0)
+
+        def oriented(t: float) -> tuple[float, float]:
+            value, slope = ray(sign * t)
+            return value, sign * slope
+
+        t, value = _ray_minimum(oriented, value0, -abs(slope0), min(max(t_prev, 1e-3), 4.0))
+        if value0 - value > 1e-12 * value0:
+            return _normalized(mesh, asm, w + (sign * t) * d, 2.0), t, ray.trials
+    return w, 0.0, ray.trials
 
 
 class _Ray:
@@ -486,7 +542,7 @@ def _cubic_step(lo: tuple, hi: tuple) -> float:
     return b - (b - a) * (gb + d2 - d1) / denom if denom != 0.0 else math.nan
 
 
-def _ray_minimum(ray: _Ray, value0: float, slope0: float, t: float) -> tuple[float, float]:
+def _ray_minimum(ray, value0: float, slope0: float, t: float) -> tuple[float, float]:
     """(t, phi(t)) near the first minimizer of phi along the ray.
 
     ``value0`` and ``slope0`` < 0 are phi(0) and phi'(0).  Doubles t until

@@ -120,9 +120,13 @@ class TestSolveCommand:
         assert code == 0
         doc = load_checked(out, "eigenpair")
         diagnostics = doc["result"]["diagnostics"]
-        assert set(diagnostics) == {"extrapolations", "ray_trials"}
+        assert set(diagnostics) == {"extrapolations", "three_term_steps", "ray_trials"}
         assert 0 < diagnostics["extrapolations"] < doc["result"]["iterations"]
-        assert diagnostics["ray_trials"] >= diagnostics["extrapolations"]
+        # The second ray starts at step 3 and is searched at most once a step.
+        assert 0 < diagnostics["three_term_steps"] <= doc["result"]["iterations"] - 2
+        assert diagnostics["ray_trials"] >= (
+            diagnostics["extrapolations"] + diagnostics["three_term_steps"]
+        )
         lines = trace_path.read_text().splitlines()
         assert lines[0] == "n,mu_n,energy_n,constraint_residual"
         mus = [float(line.split(",")[1]) for line in lines[1:]]
