@@ -12,6 +12,8 @@ step over span{w, w_n, w_{n-1}}, the LOBPCG trial space (Knyazev, SIAM J.
 Sci. Comput. 23 (2001)), and renormalizes.  The step can only lower the
 source's quotient, so both the multipliers mu_n and the energies
 ||grad w_{n+1}||^p stay nonincreasing and converge to a common eigenvalue.
+Both routes lower the quotient along a ray by one search, ``_ray_descent``,
+with one start clamp and one acceptance rule.
 
 Both routes stop on one weak residual: the defect of the weak
 Euler-Lagrange equation over that of its right-hand side, both in the
@@ -20,9 +22,10 @@ stiffness, and raise once it stagnates.  Lambda's solver error is then
 quadratic in it, about 1.5 r^2 on the cusp meshes.
 
 The inner source problem is strictly convex on the zero-mean subspace and
-is solved by damped Newton with sparse factorizations.  The first starts
-from the scaled p = 2 solution unless the scaled source is lower in
-energy, as at an eigenfunction; each later one from the rescaled source.
+is solved by damped Newton with sparse factorizations.  The first takes
+the solver's own start, the scaled p = 2 solution unless the scaled
+source is lower in energy, as at an eigenfunction; each later one starts
+from the rescaled source.
 The inner solves are inexact: a forcing term (Eisenstat & Walker, SIAM J.
 Sci. Comput. 17 (1996)) asks each for a 10-fold gradient cut, mostly one
 Newton step, down to a floor (inexact inverse iteration keeps the outer
@@ -231,6 +234,11 @@ def solve_p_laplace_source(
     At its float floor (a Newton decrement below 64 eps |phi|) it returns
     above ``tol`` without an error; from a converged warm start that return
     is ``zero_mean(warm_start)`` bitwise, which route B's stall check uses.
+
+    Without ``warm_start`` Newton starts from f or the p = 2 solution
+    K^{-1} M f, whichever ray holds the lower energy, scaled to that ray's
+    minimizer: K^{-1} M f from a smooth or a 1%-perturbed f, which is rough
+    at the tip, and f at an eigenfunction, the exact solution up to scale.
     """
     if not p > 1.0:
         raise ValueError(f"requires p > 1, got p={p}")
@@ -252,12 +260,13 @@ def solve_p_laplace_source(
     if warm_start is not None:
         v = asm.zero_mean(warm_start.values.copy())
     else:
-        # Scaled p=2 solution: exact minimizer along its own ray.
-        v0 = asm.solve_neumann(load)
-        energy = _energy_from_gradients(asm, asm.gradients(v0), p)
-        pairing = load @ v0
-        t = (pairing / energy) ** (1.0 / (p - 1.0)) if energy > 0.0 and pairing > 0.0 else 0.0
-        v = t * v0
+        # Along v the least energy is -(1 - 1/p) (<f, v>^p / E(v))^(1/(p-1)),
+        # at the scale (<f, v> / E(v))^(1/(p-1)); both pairings are positive.
+        starts = []
+        for ray in (f.values, asm.solve_neumann(load)):
+            pairing, energy = float(load @ ray), _energy_from_gradients(asm, asm.gradients(ray), p)
+            starts.append((pairing**p / energy, (pairing / energy) ** (1.0 / (p - 1.0)) * ray))
+        v = asm.zero_mean(max(starts, key=lambda start: start[0])[1])
 
     def objective(values: np.ndarray, g: np.ndarray) -> float:
         return _energy_from_gradients(asm, g, p, eps=EPS_REGULARIZATION) / p - float(load @ values)
@@ -320,8 +329,9 @@ def inverse_iteration(
     3 on, along d_2 = w_n - w_{n-1}: two rays toward the minimizer over
     span{w, w_n, w_{n-1}}, the trial space of LOBPCG (at step 2 w_{n-1}
     would be the start itself).  Each ray is warm-started from its own
-    last accepted t.  The field after both rays is w_{n+1}.  The step
-    keeps the fixed points, since d = d_2 = 0 there, and the interleaving
+    last accepted t and accepted by the rule both routes share.  The field
+    after both rays is w_{n+1}.  The step keeps the fixed points, since
+    d = d_2 = 0 there, and the interleaving
     mu_{n+1} <= ||grad w_{n+1}||^p <= mu_n, since it only lowers the
     quotient of the next source.  Stops at the first step where the weak
     residual r of w_{n+1} is at most ``residual_tol`` and 3 r^2, a bound
@@ -333,8 +343,9 @@ def inverse_iteration(
     The inner solves are inexact: step n solves to the relative dual-norm
     gradient max(1e-11, 0.1 * min(r, 1)), with r the weak residual of step
     n-1 (0.1 at the first step), so 1e-11 is the fixed floor of this
-    schedule.  Step 1 starts from ``_first_start``: the scaled p = 2
-    solution, or the scaled source where that is lower in inner energy.
+    schedule.  Step 1 passes no warm start, so the inner solve starts from
+    the scaled p = 2 solution, or the scaled source where that is lower in
+    inner energy; at p = 2 it is one stiffness solve.
     The warm start of step n > 1, w_n rescaled along its ray, has relative
     inner gradient exactly r, so every inner solve above the floor cuts
     its gradient 10-fold, which one damped Newton step mostly does.  Each
@@ -354,10 +365,9 @@ def inverse_iteration(
     # number of accepted steps.
     t_prev, accepted = [1.0, 1.0], [0, 0]
     ray_trials = 0
+    warm = None  # step 1 takes the solver's own start
     for iteration in range(1, max_iter + 1):
-        if iteration == 1:
-            warm = ScalarField(mesh, _first_start(asm, w, p))
-        else:
+        if iteration > 1:
             # Optimal rescaling of w makes the warm start feasible-monotone.
             theta = energy_prev ** (-1.0 / (p - 1.0)) if energy_prev > 0.0 else 1.0
             warm = ScalarField(mesh, theta * w)
@@ -382,7 +392,7 @@ def inverse_iteration(
         # ray took 42 trials for a relative gain of 2e-8 to 4e-8.
         for k in range(min(iteration - 1, 2)):
             d = w - source if k == 0 else source - previous
-            w, t, trials = _ray_descent(mesh, asm, w, grads, vals, d, p, t_prev[k])
+            w, t, trials = _ray_descent(mesh, asm, w, grads, vals, d, p, 2.0, t_prev[k])
             ray_trials += trials
             if t > 0.0:
                 grads, vals = asm.gradients(w), asm.quad_values(w)
@@ -430,37 +440,23 @@ def inverse_iteration(
     return _eigenpair(mesh, w, p, 2.0, iteration, diagnostics), trace
 
 
-def _first_start(asm, w: np.ndarray, p: float) -> np.ndarray:
-    """Start of the first inner solve for the source w: of w and the p = 2
-    solution K^{-1} f, f = M w, the one whose ray holds the lower inner
-    energy, scaled to that ray's minimizer.
-
-    Along v the minimum is -(1 - 1/p) (<f, v>^p / E(v))^(1/(p-1)), at the
-    scale (<f, v> / E(v))^(1/(p-1)).  From a smooth or a 1%-perturbed
-    start that is the p = 2 solution, which is smooth where the perturbed
-    start is rough at the tip; at an eigenfunction it is w, the exact inner
-    solution, so that the eigenfunction stays fixed.
-    """
-    load = asm.mass @ w
-    starts = []
-    for v in (w, asm.solve_neumann(load)):
-        pairing, energy = float(load @ v), _energy_from_gradients(asm, asm.gradients(v), p)
-        starts.append((pairing**p / energy, (pairing / energy) ** (1.0 / (p - 1.0)) * v))
-    return max(starts, key=lambda start: start[0])[1]
-
-
-def _ray_descent(mesh: Mesh, asm, w, grads, vals, d, p: float, t_prev: float):
+def _ray_descent(
+    mesh: Mesh, asm, w, grads, vals, d, p: float, q: float, t_prev: float, start=None
+):
     """(w', t, trials): the quotient minimized along w + t d, t > 0, or
-    along w - t d where it rises along d, by route A's ray search from
-    t_prev.
+    along w - t d where it rises along d, by the search of ``_ray_minimum``
+    from t_prev clamped to [1e-8, 4].
 
-    w' is the normalized minimizer, or w with t = 0 where the quotient
-    falls by no more than 1e-12 relative (route A's flatness threshold,
-    below which it cannot tell the step from round-off).  The second ray
-    of a step starts uphill now and then on 16 x 16 boxes at p = 1.5 and 3.
+    ``grads`` and ``vals`` are the cell arrays of w, which has unit L^q norm
+    and zero (q-1)-mean.  ``start`` is (phi(0), phi'(0)) where the caller
+    knows it, which saves the trial at t = 0.  w' is the normalized
+    minimizer where t > 0 and phi(t) <= phi(0) (1 + 1e-14), a rise no
+    larger than round-off; otherwise w with t = 0.  The second ray of a
+    route-B step starts uphill now and then on 16 x 16 boxes at p = 1.5
+    and 3.
     """
-    ray = _Ray(asm, grads, asm.gradients(d), vals, asm.quad_values(d), p, 2.0)
-    value0, slope0 = ray(0.0)
+    ray = _Ray(asm, grads, asm.gradients(d), vals, asm.quad_values(d), p, q)
+    value0, slope0 = start if start is not None else ray(0.0)
     if slope0 != 0.0:
         sign = math.copysign(1.0, -slope0)
 
@@ -468,9 +464,9 @@ def _ray_descent(mesh: Mesh, asm, w, grads, vals, d, p: float, t_prev: float):
             value, slope = ray(sign * t)
             return value, sign * slope
 
-        t, value = _ray_minimum(oriented, value0, -abs(slope0), min(max(t_prev, 1e-3), 4.0))
-        if value0 - value > 1e-12 * value0:
-            return _normalized(mesh, asm, w + (sign * t) * d, 2.0), t, ray.trials
+        t, value = _ray_minimum(oriented, value0, -abs(slope0), min(max(t_prev, 1e-8), 4.0))
+        if t > 0.0 and value <= value0 * (1.0 + 1e-14):
+            return _normalized(mesh, asm, w + (sign * t) * d, q), t, ray.trials
     return w, 0.0, ray.trials
 
 
@@ -618,16 +614,18 @@ def minimize_rayleigh(
     drops below ``tol``; stagnation raises instead of returning a
     non-stationary pair.
 
-    The line search looks for the root of phi'(t), where
+    The line search is route B's, ``_ray_descent``, along d scaled to unit
+    M-norm.  It looks for the root of phi'(t), where
     phi(t) = E(t) / N(t)^(p/q) is the quotient of u + t d shifted to zero
     (q-1)-mean, so phi' = (E' - (p/q) E N'/N) / N^(p/q) with
     E' = p sum vol |g|^(p-2) g.g_d and N' = q int |v-c|^(q-2)(v-c) v_d.
     The shift's derivative c' drops out of N' because its coefficient is
     the constraint, which is zero.  Every trial combines cell gradients
-    and quadrature values of u and d taken once per step, and phi'(0) is
-    grad_r . d, known before the first trial.  phi' keeps its accuracy
-    where phi is flat to round-off, so the search still steers there; only
-    the accepted step is projected and measured on nodal vectors.
+    and quadrature values of u and d taken once per step, and phi(0) and
+    phi'(0) = grad_r . d are known before the first trial.  phi' keeps its
+    accuracy where phi is flat to round-off, so the search still steers
+    there; only the accepted step is projected and measured on nodal
+    vectors.  A step with t = 0 keeps u and the last accepted t.
     ``diagnostics`` counts the trials (``ray_trials``) and the steps along
     z alone (``restarts``).
     """
@@ -644,7 +642,6 @@ def minimize_rayleigh(
     g_prev = z_prev = d_prev = None
     ray_trials = restarts = 0
     resid = math.inf
-    rayleigh = math.inf
     for iteration in range(1, max_iter + 1):
         grad_u = asm.gradients(u)
         vals_u = asm.quad_values(u)
@@ -679,19 +676,11 @@ def minimize_rayleigh(
         # Unit M-norm direction: t becomes a rotation scale comparable
         # across iterations even on strongly anisotropic meshes.
         direction = direction / math.sqrt(max(direction @ (asm.mass @ direction), 0.0))
-
-        # Trials combine these cell arrays; the accepted step stays on
-        # nodal vectors, which the stopping test measures.
-        ray = _Ray(asm, grad_u, asm.gradients(direction), vals_u, asm.quad_values(direction), p, q)
-        t_start = min(max(t_prev, 1e-8), 4.0)
-        best_t, best_f = _ray_minimum(ray, rayleigh, float(grad_r @ direction), t_start)
-        ray_trials += ray.trials
-        # Freed here, not when the next step rebinds it: the next
-        # factorization sets the peak memory.
-        del ray
-        if best_f <= rayleigh * (1.0 + 1e-14):
-            u = _normalized(mesh, asm, u + best_t * direction, q)
-            t_prev = best_t
+        start = (rayleigh, float(grad_r @ direction))
+        u, t, trials = _ray_descent(mesh, asm, u, grad_u, vals_u, direction, p, q, t_prev, start)
+        ray_trials += trials
+        if t > 0.0:
+            t_prev = t
     else:
         raise ConvergenceError(
             f"Rayleigh descent did not reach residual {tol:g} in {max_iter} "
