@@ -111,81 +111,83 @@ class EnergyAssembly:
 
     @cached_property
     def stiffness(self) -> sp.csr_matrix:
-        return self._assemble(self.volumes[:, None, None] * self.grad_gram)
+        return self._csr(self.volumes[:, None, None] * self.grad_gram)
 
     @cached_property
     def mass(self) -> sp.csr_matrix:
         # Degree-2 rule integrates phi_i phi_j exactly.
         rule_local = np.einsum("k,ki,kj->ij", self.quad_w[0] / self.volumes[0], self.bary, self.bary)
-        return self._assemble(self.volumes[:, None, None] * rule_local[None, :, :])
+        return self._csr(self.volumes[:, None, None] * rule_local[None, :, :])
 
     @cached_property
     def mass_vector(self) -> np.ndarray:
         """Entries int phi_j; sums to the mesh volume."""
         return np.asarray(self.mass.sum(axis=1)).ravel()
 
-    @cached_property
-    def _scatter_plan(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """CSR pattern of every Neumann matrix and where local entries land.
-
-        Returns (order, slots, indices, indptr): local entry ``order[k]``, a
-        flat index into a (C, n+1, n+1) array, adds into data slot
-        ``slots[k]``; the matrices share ``indices`` and ``indptr``
-        read-only.  Slots sum their entries in the order scipy's COO -> CSR
-        conversion does, which groups rows stably and sorts each row by a
-        permutation that depends only on the column keys; it is read off
-        once from index-valued data, so every matrix is bitwise equal.
-        """
+    def _csr(self, local: np.ndarray) -> sp.csr_matrix:
+        """Sum of a (C, n+1, n+1) cell-local array, by scipy's COO -> CSR conversion."""
         cells = self.cells.astype(np.int32)
         nloc = cells.shape[1]
-        # Local entries (c, a, 0..nloc-1) are consecutive and share the row
-        # cells[c, a], so a stable sort of these blocks by row is the
-        # stable row sort of all entries.
-        flat = cells.ravel()
-        blocks = np.argsort(flat, kind="stable").astype(np.int32)
-        order = (blocks[:, None] * nloc + np.arange(nloc, dtype=np.int32)).ravel()
-        rows = np.repeat(flat[blocks], nloc)
-        row_ptr = np.zeros(self.num_nodes + 1, dtype=np.int32)
-        np.cumsum(nloc * np.bincount(flat, minlength=self.num_nodes), out=row_ptr[1:])
-        probe = sp.csr_matrix(
-            (order, cells[blocks // nloc].ravel(), row_ptr),
-            shape=(self.num_nodes,) * 2,
-        )
-        probe.sort_indices()
-        order, cols = probe.data, probe.indices
-        # A slot starts wherever the sorted (row, col) key changes.
-        starts = np.ones(order.size, dtype=bool)
-        starts[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-        slots = np.cumsum(starts, dtype=np.int32) - 1
-        indices = cols[starts]
-        indptr = np.zeros(self.num_nodes + 1, dtype=np.int32)
-        np.cumsum(np.bincount(rows[starts], minlength=self.num_nodes), out=indptr[1:])
-        indices.setflags(write=False)
-        indptr.setflags(write=False)
-        return order, slots, indices, indptr
+        rows = np.repeat(cells, nloc, axis=1).ravel()
+        cols = np.tile(cells, (1, nloc)).ravel()
+        return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(self.num_nodes,) * 2).tocsr()
 
-    def _assemble(self, local: np.ndarray) -> sp.csr_matrix:
-        """Sum of a (C, n+1, n+1) cell-local array: one gather, one bincount."""
-        order, slots, indices, indptr = self._scatter_plan
-        data = np.bincount(slots, weights=local.ravel()[order], minlength=indices.size)
-        return sp.csr_matrix((data, indices, indptr), shape=(self.num_nodes,) * 2)
+    @cached_property
+    def _band_plan(self):
+        """Where each cell-local entry of the grounded block lands in its band.
 
-    def weighted_stiffness(
-        self,
-        weights: np.ndarray,
-        rank_weights: np.ndarray | None = None,
-        rank_vectors: np.ndarray | None = None,
-    ) -> sp.csr_matrix:
-        """sum_c vol_c (w_c G^T G + r_c d_c d_c^T) for per-cell rows d_c.
-
-        Shares the read-only pattern of ``stiffness`` and ``mass``.
+        Returns (kept, per_cell, slots, width, order, rank).  The entries
+        ``local[kept]`` of a (C, n+1, n+1) cell-local array, in cell order,
+        are those joining two free nodes with the row's band rank at most
+        the column's, ``per_cell`` of them in each cell; they add into
+        ``slots`` of LAPACK's upper band storage of half-bandwidth
+        ``width``, flattened in Fortran order.  ``order`` lists the free
+        nodes in band order, by x_n and then by their cross coordinates
+        descending, and ``rank`` inverts it.  Every edge of the
+        collapsed-grid mesh joins one level or two adjacent ones, so the
+        half-bandwidth is the largest level's node count; a mesh without
+        that structure gets a wider band, not a wrong one.
         """
-        local = (self.volumes * weights)[:, None, None] * self.grad_gram
+        x = self.nodes[self.free]
+        # The last key sorts first: x_n, then x_{n-1}, ..., x_1 descending.
+        order = np.lexsort((*(-x[:, :-1].T[::-1]), x[:, -1]))
+        rank = np.argsort(order)
+        # Band rank of every cell corner; -1 marks the ground.
+        node_rank = np.full(self.num_nodes, -1, dtype=np.intp)
+        node_rank[self.free] = rank
+        corner = node_rank[self.cells]
+        i, j = np.broadcast_arrays(corner[:, :, None], corner[:, None, :])
+        kept = (i >= 0) & (i <= j)
+        i, j = i[kept], j[kept]
+        width = int(np.max(j - i))
+        # band[width + i - j, j] = A[i, j], flattened in Fortran order, is
+        # what pbtrf factors in place; intp slots spare bincount a copy.
+        slots = i + width * (j + 1)
+        return kept, kept.sum(axis=(1, 2)), slots, width, order, rank
+
+    def _band(self, scale, rank_scale=None, rank_vectors=None) -> np.ndarray:
+        """Band of sum_c (s_c G^T G + r_c d_c d_c^T) for per-cell rows d_c.
+
+        One gather of the kept Gram entries (see ``_band_plan``), scaled in
+        place, and one bincount, which sums each entry's cell terms in cell
+        order.  No (C, n+1, n+1) array of the weighted Gram matrices is
+        made, which keeps it out of the peak memory beside the new band.
+        """
+        kept, per_cell, slots, width, *_ = self._band_plan
+        values = self.grad_gram[kept]
+        values *= np.repeat(scale, per_cell)
         if rank_vectors is not None:
-            local = local + (self.volumes * rank_weights)[:, None, None] * (
+            values += np.repeat(rank_scale, per_cell) * (
                 rank_vectors[:, :, None] * rank_vectors[:, None, :]
-            )
-        return self._assemble(local)
+            )[kept]
+        band = np.bincount(slots, weights=values, minlength=(width + 1) * self.free.size)
+        return band.reshape((width + 1, self.free.size), order="F")
+
+    def weighted_stiffness(self, weights: np.ndarray, rank_weights=None, rank_vectors=None) -> np.ndarray:
+        """Band of sum_c vol_c (w_c G^T G + r_c d_c d_c^T), the grounded block
+        in the storage ``bordered_factorization`` takes; see ``_band``."""
+        rank_scale = None if rank_vectors is None else self.volumes * rank_weights
+        return self._band(self.volumes * weights, rank_scale, rank_vectors)
 
     def zero_mean(self, values: np.ndarray) -> np.ndarray:
         return values - (self.mass_vector @ values) / self.volume
@@ -196,79 +198,26 @@ class EnergyAssembly:
 
     @cached_property
     def _neumann_lu(self):
-        return self.bordered_factorization(self.stiffness)
+        return self.bordered_factorization(self._band(self.volumes))
 
-    @cached_property
-    def _grounded_band(self):
-        """Level-order band of the grounded block.
+    def bordered_factorization(self, band: np.ndarray):
+        """Factor a Neumann matrix's grounded block from its band, in place.
 
-        Returns (gather, slots, width, order, rank): ``band[slots] =
-        data[gather]`` fills LAPACK's upper band storage of half-bandwidth
-        ``width`` from the data of a matrix in the assembly's CSR pattern;
-        ``order`` lists the free unknowns in band order and ``rank`` inverts
-        it.  Free nodes are ordered by x_n, then by their cross coordinates
-        in descending order.  Every edge of the collapsed-grid mesh stays
-        within one level or joins adjacent ones, so it spans at most one
-        level block and the half-bandwidth is the node count of the largest
-        level.  A mesh without that structure gets a wider band, not a
-        wrong one.
+        The grounded block drops the ground node's row and column.  Every
+        matrix solved here (stiffness, lagged-weight preconditioner, Newton
+        Hessian) is symmetric with the constants as its kernel, so that
+        block is SPD; grounding at a tip node instead, where cells are tiny,
+        loses accuracy.  The band is what ``weighted_stiffness`` returns
+        (see ``_band_plan``), and LAPACK's banded Cholesky overwrites it
+        with the factor in about N b^2 flops with no symbolic phase (the
+        envelope method; George & Liu, 1981); b is the largest level's node
+        count, res + 1 in 2-D.  The factor's ``solve`` applies the block's
+        inverse, and ``L`` and ``U`` are its sparse triangular factors.  A
+        block that is not numerically positive definite raises
+        :class:`ConvergenceError`.
         """
-        *_, indices, indptr = self._scatter_plan
-        size = self.free.size
-        x = self.nodes[self.free]
-        # The last key sorts first: x_n, then x_{n-1}, ..., x_1 descending.
-        order = np.lexsort((*(-x[:, :-1].T[::-1]), x[:, -1]))
-        rank = np.empty(size, dtype=np.intp)
-        rank[order] = np.arange(size)
-        # Band rank of every node; -1 marks the ground.
-        node_rank = np.full(self.num_nodes, -1, dtype=np.intp)
-        node_rank[self.free] = rank
-        i = node_rank[np.repeat(np.arange(self.num_nodes), np.diff(indptr))]
-        j = node_rank[indices]
-        # The stored pattern, explicit zeros included: a weighted matrix
-        # may hold a nonzero where the stiffness cancels to zero.
-        keep = (i >= 0) & (i <= j)
-        gather = np.flatnonzero(keep).astype(np.int32)
-        i, j = i[keep], j[keep]
-        width = int(np.max(j - i))
-        # LAPACK upper band storage, band[width + i - j, j] = A[i, j], in
-        # Fortran order, which pbtrf factors in place without a copy.
-        slots = (width + i - j + (width + 1) * j).astype(np.int32)
-        return gather, slots, width, order, rank
-
-    def bordered_factorization(self, matrix: sp.spmatrix):
-        """Factor a Neumann matrix with the ground node's row and column dropped.
-
-        Every matrix solved here (stiffness, lagged-weight preconditioner,
-        Newton Hessian) is symmetric with the constants as its kernel, so the
-        grounded block is SPD.  Grounding at a tip node instead, where cells
-        are tiny, loses accuracy.  The factor's ``solve`` applies the
-        inverse of the grounded block; ``L`` and ``U`` are its sparse
-        triangular factors.
-
-        The matrix must be a CSR matrix in the assembly's pattern, as
-        ``stiffness`` and ``weighted_stiffness`` return; the grounded block
-        is gathered from its data through a map cached per mesh, and any
-        other pattern raises ``ValueError``.  LAPACK's banded Cholesky
-        factors it in level order (see ``_grounded_band``), in about N b^2
-        flops with no symbolic phase (the envelope method; George & Liu,
-        1981); the half-bandwidth b is the largest level's node count,
-        res + 1 in 2-D.  A block that is not numerically positive definite
-        raises :class:`ConvergenceError`.
-        """
-        *_, indices, indptr = self._scatter_plan
-        if not (
-            sp.issparse(matrix)
-            and matrix.format == "csr"
-            and np.array_equal(matrix.indptr, indptr)
-            and np.array_equal(matrix.indices, indices)
-        ):
-            raise ValueError("expected a CSR matrix in the assembly's stiffness pattern")
-        size = self.free.size
-        gather, slots, width, order, rank = self._grounded_band
-        band = np.zeros((width + 1) * size)
-        band[slots] = matrix.data[gather]
-        return _BandCholesky(band.reshape((width + 1, size), order="F"), order, rank)
+        *_, order, rank = self._band_plan
+        return _BandCholesky(band, order, rank)
 
     def bordered_solve(self, lu, rhs: np.ndarray) -> np.ndarray:
         """Zero-mean x with A x = project_load(rhs), from a grounded factor of A.

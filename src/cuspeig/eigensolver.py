@@ -13,7 +13,8 @@ Sci. Comput. 23 (2001)), and renormalizes.  The step can only lower the
 source's quotient, so both the multipliers mu_n and the energies
 ||grad w_{n+1}||^p stay nonincreasing and converge to a common eigenvalue.
 Both routes lower the quotient along a ray by one search, ``_ray_descent``,
-with one start clamp and one acceptance rule.
+with one start clamp; it accepts every t > 0 the search returns, since the
+search returns one only where the quotient did not rise.
 
 Both routes stop on one weak residual: the defect of the weak
 Euler-Lagrange equation over that of its right-hand side, both in the
@@ -174,9 +175,9 @@ def _weighted_step(asm, grad: np.ndarray, *weights) -> np.ndarray:
     """Step -A^{-1} grad with A = weighted_stiffness(*weights), or -K^{-1} grad
     where Cholesky finds A indefinite or the step does not descend.
 
-    A is not bound to a name, so it is freed once its band is filled; kept
-    into the next step, it left peak memory 10 MB higher in half of the
-    res-128 benchmark runs.
+    A's band is factored in place, and the factor is dropped once the step
+    is solved; kept into the next step, it left peak memory 10 MB higher in
+    half of the res-128 benchmark runs.
     """
     try:
         factor = asm.bordered_factorization(asm.weighted_stiffness(*weights))
@@ -450,8 +451,8 @@ def _ray_descent(
     ``grads`` and ``vals`` are the cell arrays of w, which has unit L^q norm
     and zero (q-1)-mean.  ``start`` is (phi(0), phi'(0)) where the caller
     knows it, which saves the trial at t = 0.  w' is the normalized
-    minimizer where t > 0 and phi(t) <= phi(0) (1 + 1e-14), a rise no
-    larger than round-off; otherwise w with t = 0.  The second ray of a
+    minimizer where t > 0, which the search returns only with
+    phi(t) <= phi(0); otherwise w with t = 0.  The second ray of a
     route-B step starts uphill now and then on 16 x 16 boxes at p = 1.5
     and 3.
     """
@@ -464,8 +465,8 @@ def _ray_descent(
             value, slope = ray(sign * t)
             return value, sign * slope
 
-        t, value = _ray_minimum(oriented, value0, -abs(slope0), min(max(t_prev, 1e-8), 4.0))
-        if t > 0.0 and value <= value0 * (1.0 + 1e-14):
+        t = _ray_minimum(oriented, value0, -abs(slope0), min(max(t_prev, 1e-8), 4.0))
+        if t > 0.0:
             return _normalized(mesh, asm, w + (sign * t) * d, q), t, ray.trials
     return w, 0.0, ray.trials
 
@@ -538,8 +539,8 @@ def _cubic_step(lo: tuple, hi: tuple) -> float:
     return b - (b - a) * (gb + d2 - d1) / denom if denom != 0.0 else math.nan
 
 
-def _ray_minimum(ray, value0: float, slope0: float, t: float) -> tuple[float, float]:
-    """(t, phi(t)) near the first minimizer of phi along the ray.
+def _ray_minimum(ray, value0: float, slope0: float, t: float) -> float:
+    """t near the first minimizer of phi along the ray.
 
     ``value0`` and ``slope0`` < 0 are phi(0) and phi'(0).  Doubles t until
     phi' >= 0 or phi rises above phi(0), then narrows the bracket [lo, hi]
@@ -550,6 +551,8 @@ def _ray_minimum(ray, value0: float, slope0: float, t: float) -> tuple[float, fl
     within 1e-3 of the minimizer, or the bracket is 1e-3 of hi wide.  A
     safeguarded search on the derivative (More & Thuente, ACM TOMS 20
     (1994)); phi' keeps its accuracy where phi is flat to round-off.
+    Both early stops need phi(t) <= phi(0), and otherwise the best trial
+    is returned, so t > 0 only where phi(t) <= phi(0).
     """
     lo = (0.0, value0, slope0)
     best_t, best_f = 0.0, value0
@@ -560,11 +563,11 @@ def _ray_minimum(ray, value0: float, slope0: float, t: float) -> tuple[float, fl
         if slope >= 0.0 or value > value0:
             break
         if abs(slope) * t <= 2e-3 * (value0 - value):
-            return t, value
+            return t
         lo = (t, value, slope)
         t *= 2.0
     else:
-        return best_t, best_f
+        return best_t
     hi = (t, value, slope)
     before = last = math.inf  # bracket widths one and two trials back
     for _ in range(40):
@@ -581,12 +584,12 @@ def _ray_minimum(ray, value0: float, slope0: float, t: float) -> tuple[float, fl
         if value < best_f:
             best_t, best_f = t, value
         if abs(slope) * t <= 2e-3 * (value0 - value):
-            return t, value
+            return t
         if slope < 0.0 and value <= value0:
             lo = (t, value, slope)
         else:
             hi = (t, value, slope)
-    return best_t, best_f
+    return best_t
 
 
 def minimize_rayleigh(

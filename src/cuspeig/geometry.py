@@ -111,8 +111,8 @@ class BoxDomain:
 
     def __post_init__(self):
         sides = tuple(float(s) for s in self.sides)
-        if len(sides) not in (2, 3) or any(s <= 0.0 for s in sides):
-            raise GeometryError(f"box sides must be positive, 2-D or 3-D, got {sides}")
+        if len(sides) not in (2, 3) or not all(0.0 < s < math.inf for s in sides):
+            raise GeometryError(f"box sides must be positive and finite, 2-D or 3-D, got {sides}")
         object.__setattr__(self, "sides", sides)
 
     @property
@@ -263,7 +263,7 @@ def _cell_volumes(nodes: np.ndarray, cells: np.ndarray) -> np.ndarray:
 
 
 def _orient_and_check(nodes: np.ndarray, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Flip inverted simplices and fail loudly on degenerate ones."""
+    """Flip inverted simplices and fail loudly on degenerate or non-finite ones."""
     vols = _cell_volumes(nodes, cells)
     flip = vols < 0.0
     if np.any(flip):
@@ -272,9 +272,9 @@ def _orient_and_check(nodes: np.ndarray, cells: np.ndarray) -> tuple[np.ndarray,
             np.ix_(flip, [cells.shape[1] - 1, cells.shape[1] - 2])
         ]
         vols = np.abs(vols)
-    if np.any(vols <= 0.0):
+    if not np.all(vols > 0.0):
         raise GeometryError(
-            "inverted or zero-volume element after mapping; increase the resolution"
+            "inverted, zero-volume or non-finite element after mapping; increase the resolution"
         )
     return cells, vols
 
@@ -458,6 +458,8 @@ def mesh_cusp(
     """Mesh of the cusp domain: the reference mesh pushed through phi_a."""
     if not a > 0.0:
         raise GeometryError(f"mapping exponent must be positive, got a={a}")
+    if not 0.0 < tip_radius < 1.0:
+        raise GeometryError(f"tip radius must lie in (0, 1), got {tip_radius}")
     _check_resolution(resolution)
     return _collapsed_grid_mesh(domain.gamma_exponents, a, resolution, tip_radius)
 

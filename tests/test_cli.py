@@ -223,6 +223,13 @@ class TestInputChecks:
         assert f"requires q < p*_gamma = {p_star} (no compact embedding; lambda = 0)" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("sides", ["nan,1", "1,inf"])
+    def test_non_finite_box_sides(self, tmp_path, capsys, sides):
+        out = tmp_path / "solve.json"
+        assert run_cli(["solve", "--domain", "box", "--sides", sides, "--json", out]) == 2
+        assert "box sides must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_no_ceiling_when_p_reaches_gamma(self, tmp_path):
         # p >= gamma: W^{1,p} embeds into every L^q.
         out = tmp_path / "solve.json"

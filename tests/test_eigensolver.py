@@ -25,9 +25,9 @@ def count_hessians(monkeypatch, mesh):
     count = [0]
     factor = EnergyAssembly.bordered_factorization
 
-    def counted(self, matrix):
+    def counted(self, band):
         count[0] += 1
-        return factor(self, matrix)
+        return factor(self, band)
 
     monkeypatch.setattr(EnergyAssembly, "bordered_factorization", counted)
     return count
@@ -76,11 +76,11 @@ class TestPLaplaceSource:
         factor = EnergyAssembly.bordered_factorization
         calls = [0]
 
-        def fails_first(self, matrix):
+        def fails_first(self, band):
             calls[0] += 1
             if calls[0] == 1:
                 raise ConvergenceError("Neumann factorization failed")
-            return factor(self, matrix)
+            return factor(self, band)
 
         monkeypatch.setattr(EnergyAssembly, "bordered_factorization", fails_first)
         v = ce.solve_p_laplace_source(mesh, 3.0, f, tol=1e-10)
@@ -500,15 +500,16 @@ class TestMinimizeRayleigh:
     def test_failed_lagged_factorization_falls_back_to_stiffness(self, cusp16, monkeypatch):
         # Every third lagged-weight block breaks down, as numerically
         # singular tip blocks do; the step is then stiffness-preconditioned.
+        # The stiffness is factored first, so every block counted is weighted.
+        assembly(cusp16).solve_neumann(np.zeros(cusp16.num_nodes))
         factor = EnergyAssembly.bordered_factorization
         weighted = [0]
 
-        def breaks_down(self, matrix):
-            if matrix is not self.stiffness:
-                weighted[0] += 1
-                if weighted[0] % 3 == 1:
-                    raise ConvergenceError("Neumann factorization failed")
-            return factor(self, matrix)
+        def breaks_down(self, band):
+            weighted[0] += 1
+            if weighted[0] % 3 == 1:
+                raise ConvergenceError("Neumann factorization failed")
+            return factor(self, band)
 
         monkeypatch.setattr(EnergyAssembly, "bordered_factorization", breaks_down)
         pair = ce.minimize_rayleigh(cusp16, 3.0, 2.0, tol=1e-5)
@@ -547,6 +548,36 @@ def test_ray_quotient_matches_nodal_path(cusp_g2_res32, rng, p, q):
         stencil = 8.0 * (nodal(t + h) - nodal(t - h)) - (nodal(t + 2 * h) - nodal(t - 2 * h))
         assert slope == pytest.approx(stencil / (12.0 * h), rel=1e-7, abs=1e-10 * value)
     assert ray.trials == 6
+
+
+def _quadratic_ray(t):
+    return (t - 1.0) ** 2 + 1.0, 2.0 * (t - 1.0)
+
+
+def _rising_ray(t):
+    # Dips to 0.978 near t = 0.09, peaks near t = 1.6 and at t = 2 lies
+    # above phi(0) = 1 while it falls again.
+    return 1.0 - 0.5 * t + 3.0 * t**2 - 1.2 * t**3, -0.5 + 6.0 * t - 3.6 * t**2
+
+
+def _flat_ray(t):
+    # Quotient and slope at round-off, as along a converged ray.
+    return 1.0 + 2e-16 * math.sin(1e7 * t), 1e-16 * math.cos(3e7 * t)
+
+
+@pytest.mark.parametrize(
+    "ray, t_start",
+    [(_quadratic_ray, 0.3), (_rising_ray, 2.0), (_flat_ray, 1e-8), (_flat_ray, 4.0)],
+    ids=["quadratic", "rising", "flat-short", "flat-long"],
+)
+def test_ray_minimum_never_returns_a_rise(ray, t_start):
+    # _ray_descent accepts every t > 0 the search returns, so t > 0 must
+    # come with phi(t) <= phi(0).
+    value0, slope0 = ray(0.0)
+    t = eigensolver._ray_minimum(ray, value0, -abs(slope0), t_start)
+    assert t == 0.0 or ray(t)[0] <= value0
+    if ray is _quadratic_ray:
+        assert t == pytest.approx(1.0, abs=1e-3)
 
 
 @pytest.mark.parametrize(

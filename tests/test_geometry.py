@@ -10,6 +10,7 @@ from cuspeig.geometry import (
     GeometryError,
     _cross_counts,
     _graded_levels,
+    _orient_and_check,
     quadrature_rule,
 )
 
@@ -111,6 +112,16 @@ def test_mesh_reference_rejects_tiny_resolution():
         ce.mesh_reference(2, 1)
 
 
+@pytest.mark.parametrize("tip", [0.0, -1e-6, 1.0, 2.0, math.nan])
+def test_mesh_cusp_rejects_tips_outside_the_unit_interval(tip):
+    # A tip <= 0 used to grow the level list until memory ran out, and a
+    # tip >= 1 gave a mesh outside the domain.
+    with pytest.raises(GeometryError, match="tip radius"):
+        ce.mesh_cusp(ce.CuspDomain((2.0,)), 1.0, 8, tip)
+    with pytest.raises(GeometryError, match="tip radius"):
+        ce.mesh_reference(2, 8, tip)
+
+
 def test_mesh_cusp_identity_equals_reference():
     ref = ce.mesh_reference(2, 8)
     cusp = ce.mesh_cusp(ce.CuspDomain((1.0,)), 1.0, 8)
@@ -194,6 +205,22 @@ def test_mesh_box_volume():
     mesh = ce.mesh_box(box, 8)
     assert mesh.volume == pytest.approx(2.0, rel=1e-12)
     assert mesh.num_cells == 2 * 8 * 8
+
+
+@pytest.mark.parametrize("sides", [(math.nan, 1.0), (1.0, math.inf), (1.0, 1.0, -math.inf)])
+def test_box_rejects_non_finite_sides(sides):
+    with pytest.raises(GeometryError, match="positive and finite"):
+        ce.BoxDomain(sides)
+
+
+def test_non_finite_cells_are_rejected():
+    mesh = ce.mesh_box(ce.BoxDomain((1.0, 1.0)), 2)
+    nodes = mesh.nodes.copy()
+    nodes[0, 0] = math.nan
+    # The determinant of a NaN edge matrix is NaN, which no sign test
+    # catches; numpy may also warn about it.
+    with pytest.raises(GeometryError, match="non-finite"), np.errstate(invalid="ignore"):
+        _orient_and_check(nodes, mesh.cells)
 
 
 def test_quadrature_weights_sum_to_cell_volume(cusp16):

@@ -65,9 +65,10 @@ def test_factors_expose_what_the_tracer_reads(make_mesh):
     # the Neumann solves call its solve.
     mesh = make_mesh()
     asm = discretization.assembly(mesh)
-    weighted = asm.weighted_stiffness(np.linspace(0.5, 2.0, mesh.num_cells))
-    for matrix in (asm.stiffness, weighted):
-        factor = asm.bordered_factorization(matrix)
+    weighted = asm.bordered_factorization(
+        asm.weighted_stiffness(np.linspace(0.5, 2.0, mesh.num_cells))
+    )
+    for factor in (asm._neumann_lu, weighted):
         assert callable(factor.solve)
         assert factor.L.nnz > 0 and factor.U.nnz > 0
 
