@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import LinAlgError, blas, cho_solve_banded, cholesky_banded
+from scipy.linalg import blas, cho_solve_banded, lapack
 
 from .geometry import Mesh
 
@@ -49,19 +49,24 @@ class ScalarField:
 
 
 class EnergyAssembly:
-    """Per-mesh P1 operators: cell gradients, quadrature tables, p=2 forms."""
+    """Per-mesh P1 operators: cell gradients, quadrature tables, p=2 forms.
+
+    Built in one pass from the mesh's closed-form inverse edge matrices
+    (``geometry.adjugate``), with no per-cell LAPACK call.
+    """
 
     def __init__(self, mesh: Mesh):
         # Holds no reference to the mesh: the cache below is keyed weakly by
         # it, and a value that refers to its own key keeps the key alive.
-        n = mesh.n
-        corners = mesh.nodes[mesh.cells]                 # (C, n+1, n)
-        edges = corners[:, 1:, :] - corners[:, :1, :]    # (C, n, n), rows are edges
-        self.inv_edges = np.linalg.inv(edges)
-        diff = np.hstack([-np.ones((n, 1)), np.eye(n)])  # local value differences
+        self.inv_edges = mesh.inv_edges                  # (C, n, n)
         # grads[c] maps local nodal values to the constant cell gradient:
-        # for affine u = w.x the edge differences are (edges @ w).
-        self.grads = np.einsum("cij,jk->cik", self.inv_edges, diff)  # (C, n, n+1)
+        # for affine u = w.x the edge differences are (edges @ w), so
+        # column k >= 1 is the inverse's column k - 1 and column 0 is minus
+        # their sum.
+        grads = np.empty(self.inv_edges.shape[:2] + (mesh.n + 1,))
+        grads[:, :, 1:] = self.inv_edges
+        np.negative(self.inv_edges.sum(axis=2), out=grads[:, :, 0])
+        self.grads = grads                               # (C, n, n+1)
         self.volumes = mesh.volumes
         self.cells = mesh.cells
         self.bary = mesh.quad_barycentric                # (K, n+1)
@@ -106,16 +111,26 @@ class EnergyAssembly:
 
     @cached_property
     def grad_gram(self) -> np.ndarray:
-        """(C, n+1, n+1) per-cell Gram matrices of the gradient operators."""
-        return np.einsum("cik,cil->ckl", self.grads, self.grads)
+        """(C, n+1, n+1) per-cell Gram matrices G^T G of the gradient
+        operators, as n sums of outer products of G's rows."""
+        rows = self.grads
+        gram = rows[:, 0, :, None] * rows[:, 0, None, :]
+        for i in range(1, rows.shape[1]):
+            gram += rows[:, i, :, None] * rows[:, i, None, :]
+        return gram
 
     @cached_property
     def stiffness(self) -> sp.csr_matrix:
+        """CSR sum of the cells' vol * G^T G, by scipy's COO -> CSR conversion."""
         return self._csr(self.volumes[:, None, None] * self.grad_gram)
 
     @cached_property
     def mass(self) -> sp.csr_matrix:
-        # Degree-2 rule integrates phi_i phi_j exactly.
+        """CSR sum of the cells' vol * R, by scipy's COO -> CSR conversion.
+
+        R is the reference mass matrix of the degree-2 rule, which
+        integrates phi_i phi_j exactly.
+        """
         rule_local = np.einsum("k,ki,kj->ij", self.quad_w[0] / self.volumes[0], self.bary, self.bary)
         return self._csr(self.volumes[:, None, None] * rule_local[None, :, :])
 
@@ -153,17 +168,27 @@ class EnergyAssembly:
         order = np.lexsort((*(-x[:, :-1].T[::-1]), x[:, -1]))
         rank = np.argsort(order)
         # Band rank of every cell corner; -1 marks the ground.
-        node_rank = np.full(self.num_nodes, -1, dtype=np.intp)
+        node_rank = np.full(self.num_nodes, -1, dtype=np.int32)
         node_rank[self.free] = rank
         corner = node_rank[self.cells]
-        i, j = np.broadcast_arrays(corner[:, :, None], corner[:, None, :])
+        # Row and column ranks of every local entry, as contiguous copies:
+        # boolean gathers from broadcast views take twice as long.
+        nloc = corner.shape[1]
+        i = np.repeat(corner, nloc, axis=1).reshape(-1, nloc, nloc)
+        j = np.tile(corner, (1, nloc)).reshape(-1, nloc, nloc)
         kept = (i >= 0) & (i <= j)
         i, j = i[kept], j[kept]
         width = int(np.max(j - i))
+        # A cell's m free corners have distinct ranks, so it keeps the
+        # m (m + 1) / 2 entries of one triangle.
+        free_corners = np.count_nonzero(corner >= 0, axis=1)
         # band[width + i - j, j] = A[i, j], flattened in Fortran order, is
         # what pbtrf factors in place; intp slots spare bincount a copy.
-        slots = i + width * (j + 1)
-        return kept, kept.sum(axis=(1, 2)), slots, width, order, rank
+        slots = j.astype(np.intp)
+        slots += 1
+        slots *= width
+        slots += i
+        return kept, free_corners * (free_corners + 1) // 2, slots, width, order, rank
 
     def _band(self, scale, rank_scale=None, rank_vectors=None) -> np.ndarray:
         """Band of sum_c (s_c G^T G + r_c d_c d_c^T) for per-cell rows d_c.
@@ -214,10 +239,19 @@ class EnergyAssembly:
         count, res + 1 in 2-D.  The factor's ``solve`` applies the block's
         inverse, and ``L`` and ``U`` are its sparse triangular factors.  A
         block that is not numerically positive definite raises
-        :class:`ConvergenceError`.
+        :class:`ConvergenceError` naming the band row, counted from 1, where
+        the pivot fails, that row's node and the node's x_n.
         """
         *_, order, rank = self._band_plan
-        return _BandCholesky(band, order, rank)
+        factor, info = lapack.dpbtrf(band, overwrite_ab=1)
+        if info > 0:
+            node = self.free[order[info - 1]]
+            raise ConvergenceError(
+                f"Neumann factorization failed: grounded block ({band.shape[1]} unknowns) "
+                f"is not positive definite; the pivot fails at band row {info} of "
+                f"{band.shape[1]} (node {node}, x_n = {self.nodes[node, -1]:.3g})"
+            )
+        return _BandCholesky(factor, order, rank)
 
     def bordered_solve(self, lu, rhs: np.ndarray) -> np.ndarray:
         """Zero-mean x with A x = project_load(rhs), from a grounded factor of A.
@@ -240,23 +274,17 @@ class EnergyAssembly:
 
 
 class _BandCholesky:
-    """Banded Cholesky of an SPD matrix given in LAPACK upper band storage.
+    """Banded Cholesky factor A = U^T U in LAPACK upper band storage.
 
-    ``band`` holds the matrix permuted to band order: unknown ``order[k]``
-    sits at band position k, and ``rank`` inverts ``order``.  ``solve``
-    applies the inverse in the caller's order; ``U`` is a sparse view of
-    the Cholesky factor in band order and ``L`` its transpose.
+    ``band`` holds U for the matrix permuted to band order, as ``dpbtrf``
+    leaves it: unknown ``order[k]`` sits at band position k, and ``rank``
+    inverts ``order``.  ``solve`` applies A's inverse in the caller's
+    order; ``U`` is a sparse view of the factor in band order and ``L``
+    its transpose.
     """
 
     def __init__(self, band: np.ndarray, order: np.ndarray, rank: np.ndarray):
-        try:
-            self._band = cholesky_banded(band, overwrite_ab=True, check_finite=False)
-        except LinAlgError:
-            raise ConvergenceError(
-                f"Neumann factorization failed: grounded block ({band.shape[1]} unknowns) "
-                f"is not positive definite"
-            ) from None
-        self._order, self._rank = order, rank
+        self._band, self._order, self._rank = band, order, rank
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         x = cho_solve_banded(

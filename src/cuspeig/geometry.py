@@ -212,15 +212,17 @@ class Mesh:
     """Simplicial mesh with a per-cell degree-2 quadrature rule.
 
     All cell volumes are strictly positive and per-cell quadrature weights
-    sum to the cell volume.  Instances are immutable after construction.
+    sum to the cell volume.  Row k of a cell's edge matrix is its corner
+    k + 1 minus its corner 0.  Instances are immutable after construction.
     """
 
     nodes: np.ndarray      # (N, n) coordinates
     cells: np.ndarray      # (C, n+1) node indices
     volumes: np.ndarray    # (C,) positive cell volumes
+    inv_edges: np.ndarray  # (C, n, n) inverses of the cells' edge matrices
 
     def __post_init__(self):
-        for arr in (self.nodes, self.cells, self.volumes):
+        for arr in (self.nodes, self.cells, self.volumes, self.inv_edges):
             arr.setflags(write=False)
 
     @property
@@ -255,28 +257,69 @@ class Mesh:
         return np.einsum("kv,cvd->ckd", self.quad_barycentric, corners)
 
 
-def _cell_volumes(nodes: np.ndarray, cells: np.ndarray) -> np.ndarray:
+def adjugate(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Adjugates and determinants of a (C, n, n) stack, n = 2 or 3, in closed form.
+
+    adj[c] @ matrices[c] = det[c] * I, so the inverse is adj / det.  In 2-D
+    the adjugate only moves entries and flips signs, so it is exact.  In
+    3-D its columns are the cross products of the rows in cyclic order,
+    r1 x r2, r2 x r0 and r0 x r1, and det = r0 . (r1 x r2).  These few
+    entry-wise products cost less than numpy.linalg's LU of every cell,
+    and adj keeps the memory layout of the stack.
+    """
+    m = matrices
+    adj = np.empty_like(m)
+    if m.shape[1:] == (2, 2):
+        adj[:, 0, 0] = m[:, 1, 1]
+        adj[:, 1, 1] = m[:, 0, 0]
+        adj[:, 0, 1] = -m[:, 0, 1]
+        adj[:, 1, 0] = -m[:, 1, 0]
+    elif m.shape[1:] == (3, 3):
+        rows = [m[:, k] for k in range(3)]
+        for k in range(3):
+            a, b = rows[(k + 1) % 3], rows[(k + 2) % 3]
+            adj[:, 0, k] = a[:, 1] * b[:, 2] - a[:, 2] * b[:, 1]
+            adj[:, 1, k] = a[:, 2] * b[:, 0] - a[:, 0] * b[:, 2]
+            adj[:, 2, k] = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
+    else:
+        raise GeometryError(f"closed-form adjugate needs 2x2 or 3x3 matrices, got {m.shape[1:]}")
+    det = m[:, 0, 0] * adj[:, 0, 0]
+    for k in range(1, m.shape[1]):
+        det += m[:, 0, k] * adj[:, k, 0]
+    return adj, det
+
+
+def _orient_and_check(
+    nodes: np.ndarray, cells: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Oriented cells, their volumes and their inverse edge matrices.
+
+    One gather of the corners gives the edge matrices, whose closed-form
+    adjugate and determinant (``adjugate``) give both the volumes
+    |det| / n! and the inverses adj / det.  A cell with det < 0 gets its
+    last two corners swapped, which swaps its last two edges: that negates
+    det and swaps the inverse's last two columns, both exactly.  Fails
+    loudly on degenerate or non-finite cells.
+    """
     n = nodes.shape[1]
-    corners = nodes[cells]
-    edges = corners[:, 1:, :] - corners[:, :1, :]
-    return np.linalg.det(edges) / math.factorial(n)
-
-
-def _orient_and_check(nodes: np.ndarray, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Flip inverted simplices and fail loudly on degenerate or non-finite ones."""
-    vols = _cell_volumes(nodes, cells)
-    flip = vols < 0.0
-    if np.any(flip):
-        cells = cells.copy()
-        cells[np.ix_(flip, [cells.shape[1] - 2, cells.shape[1] - 1])] = cells[
-            np.ix_(flip, [cells.shape[1] - 1, cells.shape[1] - 2])
-        ]
-        vols = np.abs(vols)
+    # Gathered coordinate-major, so that adjugate's entry-wise products
+    # run on contiguous (C,) arrays: edges[c, k, d] = corners[d, k + 1, c]
+    # - corners[d, 0, c].
+    corners = np.ascontiguousarray(nodes.T)[:, cells.T]  # (n, n+1, C)
+    edges = (corners[:, 1:] - corners[:, :1]).transpose(2, 1, 0)
+    adj, det = adjugate(edges)
+    vols = np.abs(det) / math.factorial(n)
     if not np.all(vols > 0.0):
         raise GeometryError(
             "inverted, zero-volume or non-finite element after mapping; increase the resolution"
         )
-    return cells, vols
+    inv_edges = np.divide(adj, det[:, None, None], out=np.empty(adj.shape))
+    flip = det < 0.0
+    if np.any(flip):
+        cells = cells.copy()
+        cells[flip, -2:] = cells[flip, -2:][:, ::-1]
+        inv_edges[flip, :, -2:] = inv_edges[flip, :, -2:][:, :, ::-1]
+    return cells, vols, inv_edges
 
 
 def _graded_levels(resolution: int, tip: float) -> np.ndarray:
@@ -434,8 +477,8 @@ def _collapsed_grid_mesh(
         cells.append(offset + _grid_cells(idx.shape))
         top = idx[-1]
     nodes = np.concatenate(nodes)
-    cells, vols = _orient_and_check(nodes, np.concatenate(cells))
-    return Mesh(nodes=nodes, cells=cells, volumes=vols)
+    cells, vols, inv_edges = _orient_and_check(nodes, np.concatenate(cells))
+    return Mesh(nodes=nodes, cells=cells, volumes=vols, inv_edges=inv_edges)
 
 
 def _check_resolution(resolution: int):
@@ -472,8 +515,8 @@ def mesh_box(box: BoxDomain, resolution: int) -> Mesh:
     grids = np.meshgrid(*axes, indexing="ij")
     nodes = np.stack([g.ravel() for g in grids], axis=1)
     cells = _grid_cells(shape)
-    cells, vols = _orient_and_check(nodes, cells)
-    return Mesh(nodes=nodes, cells=cells, volumes=vols)
+    cells, vols, inv_edges = _orient_and_check(nodes, cells)
+    return Mesh(nodes=nodes, cells=cells, volumes=vols, inv_edges=inv_edges)
 
 
 def write_mesh_text(mesh: Mesh, path) -> None:
@@ -504,5 +547,5 @@ def read_mesh_text(path) -> Mesh:
         [[int(v) for v in lines[pos + i].split()] for i in range(num_cells)],
         dtype=np.int64,
     )
-    cells, vols = _orient_and_check(nodes, cells)
-    return Mesh(nodes=nodes, cells=cells, volumes=vols)
+    cells, vols, inv_edges = _orient_and_check(nodes, cells)
+    return Mesh(nodes=nodes, cells=cells, volumes=vols, inv_edges=inv_edges)

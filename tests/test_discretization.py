@@ -528,6 +528,31 @@ def test_unit_weights_factor_like_the_stiffness(request, mesh_name):
     assert factor.solve(rhs).tobytes() == asm._neumann_lu.solve(rhs).tobytes()
 
 
+def test_failed_factorization_names_its_band_row():
+    # At g = 3 the tip level's cross cell is 1e-12 as wide as the level is
+    # high: the first 2x2 block of the stiffness is 1e11 [[1, -1], [-1, 1]]
+    # to the last bit, so the pivot of band row 2 is 0.
+    mesh = ce.mesh_cusp(ce.CuspDomain((3.0,)), 1.0, 32)
+    message = (
+        r"grounded block \(1577 unknowns\) is not positive definite; the pivot fails at "
+        r"band row 2 of 1577 \(node 0, x_n = 1e-06\)"
+    )
+    with pytest.raises(ce.ConvergenceError, match=message):
+        assembly(mesh).solve_neumann(np.zeros(mesh.num_nodes))
+
+
+def test_set_up_calls_no_lapack_inverse_or_determinant(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg called during the mesh set-up")
+
+    monkeypatch.setattr(np.linalg, "inv", refuse)
+    monkeypatch.setattr(np.linalg, "det", refuse)
+    for gammas in ((2.0,), (1.5, 1.5)):
+        mesh = ce.mesh_cusp(ce.CuspDomain(gammas), 1.0, 6)
+        asm = assembly(mesh)
+        asm.stiffness, asm.mass
+
+
 def test_indefinite_grounded_block_raises(cusp16, cusp3d_res4):
     # Banded Cholesky cannot factor what SuperLU's diagonal pivots would.
     for mesh in (cusp16, cusp3d_res4):

@@ -11,6 +11,7 @@ from cuspeig.geometry import (
     _cross_counts,
     _graded_levels,
     _orient_and_check,
+    adjugate,
     quadrature_rule,
 )
 
@@ -221,6 +222,49 @@ def test_non_finite_cells_are_rejected():
     # catches; numpy may also warn about it.
     with pytest.raises(GeometryError, match="non-finite"), np.errstate(invalid="ignore"):
         _orient_and_check(nodes, mesh.cells)
+
+
+CLOSED_FORM_MESHES = {
+    "g2_tip1e-12": ((2.0,), 32, 1e-12),
+    "g3_tip1e-4": ((3.0,), 32, 1e-4),
+    "g1.5x1.5_res12": ((1.5, 1.5), 12, TIP_RADIUS),
+    "g3x3_res8_tip1e-3": ((3.0, 3.0), 8, 1e-3),
+}
+
+
+@pytest.mark.parametrize("gammas, res, tip", CLOSED_FORM_MESHES.values(), ids=CLOSED_FORM_MESHES)
+def test_closed_form_inverse_and_det_match_lapack(gammas, res, tip):
+    # The g = 2 tip cells have condition numbers up to 2.8e11 and |det|
+    # down to 2e-37; the closed form stays within 1.2e-14 of LAPACK's LU.
+    mesh = ce.mesh_cusp(ce.CuspDomain(gammas), 1.0, res, tip)
+    corners = mesh.nodes[mesh.cells]
+    edges = corners[:, 1:] - corners[:, :1]
+    inv, det = np.linalg.inv(edges), np.linalg.det(edges)
+    ours = ce.assembly(mesh).inv_edges
+    inv_error = np.abs(ours - inv).max(axis=(1, 2)) / np.abs(inv).max(axis=(1, 2))
+    assert inv_error.max() <= 1e-13
+    assert np.max(np.abs(adjugate(edges)[1] - det) / np.abs(det)) <= 1e-13
+    volumes = np.abs(det) / math.factorial(mesh.n)
+    assert np.max(np.abs(mesh.volumes - volumes) / volumes) <= 1e-13
+
+
+@pytest.mark.parametrize("gammas", [(2.0,), (1.5, 1.5)])
+def test_orientation_flip_is_exact(gammas):
+    # Swapping a cell's last two corners negates its determinant and swaps
+    # its inverse's last two columns, both without rounding (a zero entry
+    # may change its sign).
+    mesh = ce.mesh_cusp(ce.CuspDomain(gammas), 1.0, 6)
+    flipped = mesh.cells.copy()
+    flipped[::2, -2:] = flipped[::2, :-3:-1]
+    cells, volumes, inv_edges = _orient_and_check(mesh.nodes, flipped)
+    np.testing.assert_array_equal(cells, mesh.cells)
+    assert volumes.tobytes() == mesh.volumes.tobytes()
+    np.testing.assert_array_equal(inv_edges, mesh.inv_edges)
+
+
+def test_adjugate_rejects_other_sizes():
+    with pytest.raises(GeometryError, match="2x2 or 3x3"):
+        adjugate(np.eye(4)[None])
 
 
 def test_quadrature_weights_sum_to_cell_volume(cusp16):
