@@ -485,10 +485,35 @@ def write_field_text(u: ScalarField, path) -> None:
 
 
 def read_field_text(mesh: Mesh, path) -> ScalarField:
+    """Read a field written by :func:`write_field_text`.
+
+    The count must be followed by exactly that many "index value" lines
+    whose indices cover 0..count-1 once each; otherwise ValueError names
+    the first bad line, counted from 1.
+    """
     lines = Path(path).read_text().splitlines()
     count = int(lines[0])
     values = np.zeros(count)
-    for line in lines[1 : count + 1]:
-        idx, val = line.split()
-        values[int(idx)] = float(val)
+    seen = np.zeros(count, dtype=bool)
+    for number, line in enumerate(lines[1:], start=2):
+        if number > count + 1:
+            raise ValueError(f"{path}, line {number}: more than the {count} value lines announced")
+        try:
+            idx, val = line.split()
+            idx, val = int(idx), float(val)
+        except ValueError:
+            raise ValueError(
+                f"{path}, line {number}: expected 'index value', got {line!r}"
+            ) from None
+        if not 0 <= idx < count:
+            raise ValueError(f"{path}, line {number}: node index {idx} outside [0, {count})")
+        if seen[idx]:
+            raise ValueError(f"{path}, line {number}: node index {idx} repeated")
+        seen[idx] = True
+        values[idx] = val
+    if len(lines) <= count:
+        raise ValueError(
+            f"{path}, line {len(lines) + 1}: file ends after "
+            f"{len(lines) - 1} of {count} value lines"
+        )
     return ScalarField(mesh, values)

@@ -16,6 +16,13 @@ Both routes lower the quotient along a ray by one search, ``_ray_descent``,
 with one start clamp; it accepts every t > 0 the search returns, since the
 search returns one only where the quotient did not rise.
 
+Both routes take one start: the given field swept four times by linear
+inverse iteration v <- K^{-1} M v through the stiffness factor, which
+every solve builds for its dual norms, where the swept field's (p, q)
+quotient is lower, and the given field otherwise.  The first outer steps
+from x_n only walk into the minimizer's basin, each with one
+factorization; a sweep is one triangular-solve pair.
+
 Both routes stop on one weak residual: the defect of the weak
 Euler-Lagrange equation over that of its right-hand side, both in the
 dual norm of the zero-mean space, ||r||_* = sqrt(r . K^{-1} r) with K the
@@ -75,6 +82,11 @@ _ARMIJO_FACTOR = 1e-4
 # residual of step n-1, so the first step (r = inf) runs to _INNER_TOL_RATIO.
 _INNER_TOL_FLOOR = 1e-11
 _INNER_TOL_RATIO = 0.1
+
+# Linear inverse-iteration sweeps v <- K^{-1} M v that both routes apply
+# to their start; each is one triangular-solve pair.  Four took route A on
+# the 3-D p = 3 benchmark cusp from 7-8 outer steps to 5.
+_START_SWEEPS = 4
 
 # Lambda's relative solver error over the squared weak residual: the upper
 # end of the [0.5, 3] that test_weak_residual_bounds_the_lambda_error pins.
@@ -163,12 +175,35 @@ def _normalized(mesh: Mesh, asm, values: np.ndarray, q: float) -> np.ndarray:
     return projected / _lq_norm_from_values(asm, asm.quad_values(projected), q)
 
 
-def _initial_iterate(mesh: Mesh, asm, start: ScalarField | None, q: float) -> np.ndarray:
-    """The normalized start of either route, by default default_initial_field."""
+def _shifted_quotient(asm, values: np.ndarray, p: float, q: float) -> float:
+    """Quotient of values shifted to zero (q-1)-mean, from cell arrays:
+    phi(0) of the ray along values itself, without a projection."""
+    grads, vals = asm.gradients(values), asm.quad_values(values)
+    return _Ray(asm, grads, grads, vals, vals, p, q)(0.0)[0]
+
+
+def _initial_iterate(
+    mesh: Mesh, asm, start: ScalarField | None, p: float, q: float
+) -> tuple[np.ndarray, int]:
+    """(normalized start, sweeps taken) of either route.
+
+    The start, by default default_initial_field, is swept _START_SWEEPS
+    times by linear inverse iteration v <- K^{-1} M v through the
+    stiffness factor every solve builds for its dual norms.  The swept
+    field replaces the start only where its (p, q) quotient is lower, so a
+    start nearer the minimizer than the p = 2 direction, such as a
+    converged pair, is kept; the sweeps taken are then 0.
+    """
     start = start if start is not None else default_initial_field(mesh)
     if float(np.max(start.values) - np.min(start.values)) == 0.0:
         raise ValueError("initial field must be nonconstant")
-    return _normalized(mesh, asm, start.values, q)
+    swept = start.values
+    for _ in range(_START_SWEEPS):
+        swept = asm.solve_neumann(asm.mass @ swept)
+        swept /= math.sqrt(float(swept @ (asm.mass @ swept)))
+    if _shifted_quotient(asm, swept, p, q) < _shifted_quotient(asm, start.values, p, q):
+        return _normalized(mesh, asm, swept, q), _START_SWEEPS
+    return _normalized(mesh, asm, start.values, q), 0
 
 
 def _weighted_step(asm, grad: np.ndarray, *weights) -> np.ndarray:
@@ -339,14 +374,17 @@ def inverse_iteration(
     on lambda's relative solver error, at most ``tol``.  Returns the
     eigenpair and the full iteration trace; ``diagnostics`` counts the
     accepted steps along d (``extrapolations``) and along d_2
-    (``three_term_steps``), and the ray trials (``ray_trials``).
+    (``three_term_steps``), the ray trials (``ray_trials``) and the p = 2
+    sweeps the start took (``start_sweeps``, see ``_initial_iterate``).
 
     The inner solves are inexact: step n solves to the relative dual-norm
     gradient max(1e-11, 0.1 * min(r, 1)), with r the weak residual of step
     n-1 (0.1 at the first step), so 1e-11 is the fixed floor of this
-    schedule.  Step 1 passes no warm start, so the inner solve starts from
-    the scaled p = 2 solution, or the scaled source where that is lower in
-    inner energy; at p = 2 it is one stiffness solve.
+    schedule.  The start is ``w0`` (by default x_n), swept by p = 2
+    inverse iteration where that lowers its quotient.  Step 1 passes no
+    warm start, so the inner solve starts from the scaled p = 2 solution,
+    or the scaled source where that is lower in inner energy; at p = 2 it
+    is one stiffness solve.
     The warm start of step n > 1, w_n rescaled along its ray, has relative
     inner gradient exactly r, so every inner solve above the floor cuts
     its gradient 10-fold, which one damped Newton step mostly does.  Each
@@ -357,7 +395,7 @@ def inverse_iteration(
     if q != 2.0:
         raise ValueError("inverse iteration is formulated for q = 2 only")
     asm = assembly(mesh)
-    w = _initial_iterate(mesh, asm, w0, 2.0)
+    w, start_sweeps = _initial_iterate(mesh, asm, w0, p, 2.0)
     source = None
     trace: list[IterationState] = []
     resid = math.inf
@@ -437,6 +475,7 @@ def inverse_iteration(
         "extrapolations": accepted[0],
         "three_term_steps": accepted[1],
         "ray_trials": ray_trials,
+        "start_sweeps": start_sweeps,
     }
     return _eigenpair(mesh, w, p, 2.0, iteration, diagnostics), trace
 
@@ -602,9 +641,11 @@ def minimize_rayleigh(
 ) -> EigenPair:
     """Constrained Rayleigh-quotient minimization (route A).
 
-    Preconditioned nonlinear conjugate gradients with projection: each
-    step solves a linear Neumann problem for the preconditioned quotient
-    gradient z (plain stiffness at p = 2, the lagged |grad u|^(p-2)-weighted
+    Preconditioned nonlinear conjugate gradients with projection, from
+    ``u0`` (by default x_n) swept by p = 2 inverse iteration where that
+    lowers its quotient (see ``_initial_iterate``).  Each step solves a
+    linear Neumann problem for the preconditioned quotient gradient z
+    (plain stiffness at p = 2, the lagged |grad u|^(p-2)-weighted
     stiffness otherwise, or the plain stiffness where that block breaks
     down or its step does not descend), searches along
     d = z + beta d_prev with the Polak-Ribiere
@@ -629,13 +670,14 @@ def minimize_rayleigh(
     accuracy where phi is flat to round-off, so the search still steers
     there; only the accepted step is projected and measured on nodal
     vectors.  A step with t = 0 keeps u and the last accepted t.
-    ``diagnostics`` counts the trials (``ray_trials``) and the steps along
-    z alone (``restarts``).
+    ``diagnostics`` counts the trials (``ray_trials``), the steps along
+    z alone (``restarts``) and the p = 2 sweeps the start took
+    (``start_sweeps``).
     """
     if not (p > 1.0 and q > 1.0):
         raise ValueError(f"requires p, q > 1, got p={p}, q={q}")
     asm = assembly(mesh)
-    u = _initial_iterate(mesh, asm, u0, q)
+    u, start_sweeps = _initial_iterate(mesh, asm, u0, p, q)
     eps = EPS_REGULARIZATION if p < 2.0 else 0.0
     history: list[tuple[float, float, float]] = []
     recent_resids: deque = deque(maxlen=25)
@@ -694,6 +736,7 @@ def minimize_rayleigh(
         "history": history,
         "ray_trials": ray_trials,
         "restarts": restarts,
+        "start_sweeps": start_sweeps,
     }
     return _eigenpair(mesh, u, p, q, iteration, diagnostics)
 

@@ -532,7 +532,11 @@ def write_mesh_text(mesh: Mesh, path) -> None:
 
 
 def read_mesh_text(path) -> Mesh:
-    """Read a mesh written by :func:`write_mesh_text`."""
+    """Read a mesh written by :func:`write_mesh_text`.
+
+    A cell index outside [0, node count) raises :class:`GeometryError`
+    naming the cell and its line, counted from 1.
+    """
     lines = Path(path).read_text().splitlines()
     pos = 0
     num_nodes = int(lines[pos])
@@ -547,5 +551,12 @@ def read_mesh_text(path) -> Mesh:
         [[int(v) for v in lines[pos + i].split()] for i in range(num_cells)],
         dtype=np.int64,
     )
+    outside = (cells < 0) | (cells >= num_nodes)
+    if np.any(outside):
+        cell = int(np.argmax(outside.any(axis=1)))
+        raise GeometryError(
+            f"{path}, line {pos + cell + 1}: cell {cell} has node index "
+            f"{int(cells[cell][outside[cell]][0])} outside [0, {num_nodes})"
+        )
     cells, vols, inv_edges = _orient_and_check(nodes, cells)
     return Mesh(nodes=nodes, cells=cells, volumes=vols, inv_edges=inv_edges)

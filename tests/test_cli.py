@@ -7,7 +7,7 @@ import jsonschema
 import pytest
 
 import cuspeig as ce
-from cuspeig import cli
+from cuspeig import cli, eigensolver
 
 SCHEMAS = Path(__file__).resolve().parents[1] / "schemas"
 
@@ -104,7 +104,7 @@ class TestSolveCommand:
         assert doc["result"]["lambda"] == pytest.approx(math.pi**2, rel=0.02)
         # Route A's counters; its history list stays out of the JSON.
         diagnostics = doc["result"]["diagnostics"]
-        assert set(diagnostics) == {"ray_trials", "restarts"}
+        assert set(diagnostics) == {"ray_trials", "restarts", "start_sweeps"}
         assert 1 <= diagnostics["restarts"] <= doc["result"]["iterations"]
         mesh = ce.read_mesh_text(mesh_path)
         assert mesh.volume == pytest.approx(1.0, rel=1e-12)
@@ -120,7 +120,9 @@ class TestSolveCommand:
         assert code == 0
         doc = load_checked(out, "eigenpair")
         diagnostics = doc["result"]["diagnostics"]
-        assert set(diagnostics) == {"extrapolations", "three_term_steps", "ray_trials"}
+        assert set(diagnostics) == {
+            "extrapolations", "three_term_steps", "ray_trials", "start_sweeps"
+        }
         assert 0 < diagnostics["extrapolations"] < doc["result"]["iterations"]
         # The second ray starts at step 3 and is searched at most once a step.
         assert 0 < diagnostics["three_term_steps"] <= doc["result"]["iterations"] - 2
@@ -131,6 +133,19 @@ class TestSolveCommand:
         assert lines[0] == "n,mu_n,energy_n,constraint_residual"
         mus = [float(line.split(",")[1]) for line in lines[1:]]
         assert all(m2 <= m1 * (1.0 + 1e-10) for m1, m2 in zip(mus, mus[1:]))
+
+    @pytest.mark.parametrize("method", ["minimize", "iterate"])
+    def test_json_carries_the_start_sweeps(self, tmp_path, method):
+        # Both routes start from the p = 2 sweeps of x_n on the cusp, where
+        # they lower the quotient, and report how many were taken.
+        out = tmp_path / "solve.json"
+        code = run_cli(
+            ["solve", "--domain", "cusp", "--gammas", "2", "--p", 2.5, "--q", 2,
+             "--resolution", 32, "--method", method, "--tol", 1e-6, "--json", out]
+        )
+        assert code == 0
+        doc = load_checked(out, "eigenpair")
+        assert doc["result"]["diagnostics"]["start_sweeps"] == eigensolver._START_SWEEPS
 
     def test_config_file_precedence(self, tmp_path):
         conf = tmp_path / "run.conf"

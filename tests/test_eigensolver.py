@@ -174,7 +174,8 @@ class TestInverseIteration:
         # The first nontrivial eigenvalue of the square is double, so the
         # quotient turns flat along span{w_{n+1}, w_n} before the residual
         # is met.  The rays accept a step there unless it rises past
-        # round-off, and the solve converges in 5 steps.
+        # round-off, and the solve converged in 5 steps, and in 3 from the
+        # start swept by p = 2 inverse iteration.
         assert 0 < pair.diagnostics["extrapolations"] < pair.iterations
 
     def test_trace_energies_interleave(self, cusp16):
@@ -201,14 +202,15 @@ class TestInverseIteration:
     # 1e-11 inner solves at every step took 51 and 69 factorizations, and
     # 1000-fold inner cuts 14 and 13; 10-fold cuts took 10 and 10 in 8
     # steps.  With the p = 2 start for step 1 and the three-term step the
-    # Hessian factorizations are 7 in 7 steps and 9 in 6: at p = 3 steps 2,
-    # 4 and 5 take a second Newton step.  The case ids keep the earlier
-    # ceilings 30 and 55 so the cases keep their names.
+    # Hessian factorizations were 7 in 7 steps and 9 in 6; from the start
+    # swept by p = 2 inverse iteration they are 5 in 6 and 5 in 5.  The
+    # case ids keep the earlier ceilings 30 and 55 so the cases keep their
+    # names.
     @pytest.mark.parametrize(
         "p, lam_ref, max_factorizations",
         [
-            pytest.param(2.5, 27.890500604215, 7, id="2.5-27.890500604215-30"),
-            pytest.param(3.0, 69.4090314701951, 9, id="3.0-69.4090314701951-55"),
+            pytest.param(2.5, 27.890500604215, 5, id="2.5-27.890500604215-30"),
+            pytest.param(3.0, 69.4090314701951, 5, id="3.0-69.4090314701951-55"),
         ],
     )
     def test_inexact_inner_solves(
@@ -252,7 +254,7 @@ class TestInverseIteration:
     def test_locally_optimal_step_count(self, cusp_g2_res32, p, perturbed):
         # Plain inverse iteration took 13-18 outer steps on these cases,
         # the step over span{w_{n+1}, w_n} 8-11, and the three-term step
-        # with the p = 2 first start takes 6-8.
+        # with the p = 2 first start 6-8; from the swept start it takes 4-6.
         mesh = cusp_g2_res32
         start = ce.default_initial_field(mesh)
         if perturbed:
@@ -270,7 +272,8 @@ class TestInverseIteration:
 
     # Four 1% perturbations of the default start, drawn as the benchmark's
     # start_field draws them.  Before the p = 2 first start and the
-    # three-term step they took 33 and 32 outer steps in all; now 28 and 24.
+    # three-term step they took 33 and 32 outer steps in all, then 28 and
+    # 24; from the swept start 24 and 20.
     @pytest.mark.parametrize("p, earlier_steps", [(2.5, 33), (3.0, 32)])
     def test_perturbed_starts_agree(self, cusp_g2_res32, p, earlier_steps):
         mesh = cusp_g2_res32
@@ -293,7 +296,9 @@ class TestInverseIteration:
         # At p = 2.5 the step over span{w_{n+1}, w_n} alone stagnated at
         # step 26, at weak residual 2.9e-5.  At p = 2 the eigenvalue is
         # double, so the quotient turns flat along the rays; accepted at
-        # round-off, the steps there converge in 5 steps to 7.1e-8.
+        # round-off, the steps there converged in 5 steps to 7.1e-8, and
+        # from the swept start in 2 to 1.2e-7.  At p = 2.5 the swept start
+        # takes 26 steps, the default one took 22.
         for p in (2.0, 2.5):
             pair, _ = ce.inverse_iteration(square16, p)
             assert pair.weak_residual <= 1e-6
@@ -380,6 +385,8 @@ class TestInverseIteration:
         assert again.weak_residual <= residual_tol
         assert again.lam == pytest.approx(pair.lam, rel=1e-10)
         assert len(trace) <= 2
+        # The p = 2 sweeps raise the p = 3 quotient, so the start is kept.
+        assert again.diagnostics["start_sweeps"] == 0
 
     # residual_tol binds in the first case: r reads 2.5e-5 and 4.8e-6 at
     # steps 6 and 7, where a mu-drift window held the stop until step 8.
@@ -440,6 +447,27 @@ class TestMinimizeRayleigh:
         mesh = ce.mesh_cusp(ce.CuspDomain((1.5, 1.5)), 1.0, 6)
         lam = ce.minimize_rayleigh(mesh, 3.0, 2.0, tol=1e-6).lam
         assert lam == pytest.approx(72.21080875055748, rel=1e-9)
+
+    def test_swept_start_cuts_the_lagged_factorizations(self, monkeypatch):
+        # From the default start the first steps only walk into the
+        # minimizer's basin, each with one lagged factorization: 10 of them
+        # in 11 steps.  Four p = 2 inverse-iteration sweeps of the start,
+        # through the stiffness factor, leave 8 in 9.
+        mesh = ce.mesh_cusp(ce.CuspDomain((1.5, 1.5)), 1.0, 6)
+        count = count_hessians(monkeypatch, mesh)
+        pair = ce.minimize_rayleigh(mesh, 3.0, 2.0, tol=1e-6)
+        assert pair.diagnostics["start_sweeps"] == eigensolver._START_SWEEPS
+        assert count[0] <= 8
+        assert pair.lam == pytest.approx(72.21080875055748, rel=1e-9)
+
+    def test_restart_from_converged_pair(self, cusp16):
+        # The swept field has the higher p = 3 quotient, so the converged
+        # start is kept and the restart stops at once.
+        pair = ce.minimize_rayleigh(cusp16, 3.0, 2.0, tol=1e-8)
+        again = ce.minimize_rayleigh(cusp16, 3.0, 2.0, u0=pair.u, tol=1e-6)
+        assert again.diagnostics["start_sweeps"] == 0
+        assert again.iterations <= 2
+        assert again.lam == pytest.approx(pair.lam, rel=1e-10)
 
     @pytest.mark.parametrize(
         "p, q, tol, seed",

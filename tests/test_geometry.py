@@ -295,3 +295,20 @@ def test_mesh_text_roundtrip(tmp_path, cusp16):
     np.testing.assert_array_equal(back.nodes, cusp16.nodes)
     np.testing.assert_array_equal(back.cells, cusp16.cells)
     assert back.volume == pytest.approx(cusp16.volume, rel=1e-14)
+
+
+@pytest.mark.parametrize("index", [-1, 9], ids=["negative", "num_nodes"])
+def test_mesh_text_rejects_a_cell_index_outside_the_nodes(tmp_path, index):
+    # -1 wrapped to the last node, and 9, the node count of a 2 x 2 box,
+    # escaped as numpy's IndexError.
+    mesh = ce.mesh_box(ce.BoxDomain((1.0, 1.0)), 2)
+    path = tmp_path / "mesh.txt"
+    ce.write_mesh_text(mesh, path)
+    lines = path.read_text().splitlines()
+    # Lines: node count, 9 nodes, cell count, then the cells; cell 2 is line 14.
+    corners = lines[13].split()
+    lines[13] = " ".join([corners[0], str(index), *corners[2:]])
+    path.write_text("\n".join(lines) + "\n")
+    message = rf"line 14: cell 2 has node index {index} outside \[0, 9\)"
+    with pytest.raises(ce.GeometryError, match=message):
+        ce.read_mesh_text(path)
