@@ -14,12 +14,9 @@ from .geometry import (
     CuspMap,
     GeometryError,
     Mesh,
-    gamma_of,
     mesh_box,
     mesh_cusp,
     mesh_reference,
-    read_mesh_text,
-    reference_domain,
     write_mesh_text,
 )
 from .bounds import (
@@ -43,8 +40,6 @@ from .discretization import (
     lq_norm,
     project_zero_mean,
     rayleigh_quotient,
-    read_field_text,
-    write_field_text,
 )
 from .eigensolver import (
     ConvergenceError,
@@ -88,7 +83,6 @@ __all__ = [
     "consistency_report",
     "constraint_value",
     "default_initial_field",
-    "gamma_of",
     "grad_norm_p",
     "inverse_iteration",
     "k_ps_bound",
@@ -106,12 +100,8 @@ __all__ = [
     "poincare_sweep",
     "project_zero_mean",
     "rayleigh_quotient",
-    "read_field_text",
-    "read_mesh_text",
-    "reference_domain",
     "solve_eigenpair",
     "solve_p_laplace_source",
     "unit_ball_volume",
-    "write_field_text",
     "write_mesh_text",
 ]

@@ -13,7 +13,6 @@ import math
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
@@ -473,47 +472,3 @@ def q_form_apply(u: ScalarField, q: float) -> np.ndarray:
 def _q_form_from_values(asm: EnergyAssembly, vals: np.ndarray, q: float) -> np.ndarray:
     """q_form_apply from the (C, K) quadrature values of u."""
     return asm.scatter_quad(np.sign(vals) * np.abs(vals) ** (q - 1.0))
-
-
-def write_field_text(u: ScalarField, path) -> None:
-    """Plain-text export: node count, then one "index value" line per node."""
-    path = Path(path)
-    with path.open("w") as fh:
-        fh.write(f"{u.mesh.num_nodes}\n")
-        for i, v in enumerate(u.values):
-            fh.write(f"{i} {float(v)!r}\n")
-
-
-def read_field_text(mesh: Mesh, path) -> ScalarField:
-    """Read a field written by :func:`write_field_text`.
-
-    The count must be followed by exactly that many "index value" lines
-    whose indices cover 0..count-1 once each; otherwise ValueError names
-    the first bad line, counted from 1.
-    """
-    lines = Path(path).read_text().splitlines()
-    count = int(lines[0])
-    values = np.zeros(count)
-    seen = np.zeros(count, dtype=bool)
-    for number, line in enumerate(lines[1:], start=2):
-        if number > count + 1:
-            raise ValueError(f"{path}, line {number}: more than the {count} value lines announced")
-        try:
-            idx, val = line.split()
-            idx, val = int(idx), float(val)
-        except ValueError:
-            raise ValueError(
-                f"{path}, line {number}: expected 'index value', got {line!r}"
-            ) from None
-        if not 0 <= idx < count:
-            raise ValueError(f"{path}, line {number}: node index {idx} outside [0, {count})")
-        if seen[idx]:
-            raise ValueError(f"{path}, line {number}: node index {idx} repeated")
-        seen[idx] = True
-        values[idx] = val
-    if len(lines) <= count:
-        raise ValueError(
-            f"{path}, line {len(lines) + 1}: file ends after "
-            f"{len(lines) - 1} of {count} value lines"
-        )
-    return ScalarField(mesh, values)

@@ -24,7 +24,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
@@ -43,17 +42,6 @@ COARSE_TIP = 0.25
 
 class GeometryError(ValueError):
     """Invalid domain data or a degenerate mesh."""
-
-
-def gamma_of(exponents) -> float:
-    """Aggregate exponent 1 + sum(g_i) of a profile exponent list."""
-    exps = [float(g) for g in np.atleast_1d(np.asarray(exponents, dtype=float))]
-    if not exps:
-        raise GeometryError("need at least one profile exponent")
-    bad = [g for g in exps if not g >= 1.0]
-    if bad:
-        raise GeometryError(f"profile exponents must satisfy g_i >= 1, got {bad}")
-    return 1.0 + sum(exps)
 
 
 @dataclass(frozen=True)
@@ -76,7 +64,7 @@ class CuspDomain:
 
     @property
     def gamma(self) -> float:
-        return gamma_of(self.gamma_exponents)
+        return 1.0 + sum(self.gamma_exponents)
 
     @property
     def volume(self) -> float:
@@ -96,11 +84,6 @@ class CuspDomain:
             cap = np.where(t > 0.0, safe_t**g, 0.0)
             ok &= (pts[:, i] > 0.0) & (pts[:, i] < cap)
         return bool(ok[0]) if single else ok
-
-
-def reference_domain(n: int) -> CuspDomain:
-    """The Lipschitz cone: all profile exponents equal to 1."""
-    return CuspDomain(tuple([1.0] * (n - 1)))
 
 
 @dataclass(frozen=True)
@@ -435,29 +418,23 @@ def _transition_cells(below: np.ndarray, above: np.ndarray) -> np.ndarray:
     )
 
 
-def _collapsed_grid_mesh(
-    exponents: tuple[float, ...],
-    a: float,
-    resolution: int,
-    tip: float,
-) -> Mesh:
-    """Grid on the unit box collapsed onto the (mapped) cone.
+def _collapsed_grid_mesh(phi: CuspMap, resolution: int, tip: float) -> Mesh:
+    """Grid on the unit box collapsed onto the reference cone, then pushed through phi.
 
-    A node with cross coordinates c_i and height t is sent to
-    (c_1 t**(a g_1), ..., c_{n-1} t**(a g_{n-1}), t**a), i.e. the cusp map
-    applied to the collapsed reference grid.  Each level t carries its own
-    cross grid (``_cross_counts``): ``resolution`` cells per axis down to
-    x_n = COARSE_TIP / resolution, coarser below.  Nodes are numbered level
-    by level with the cross indices increasing.  Layers between equal cross
-    grids get the Kuhn split of ``_grid_cells``, one block per run of equal
-    levels; a layer where the grid halves gets ``_transition_cells``.
-    Every simplex stays positively oriented for t >= tip > 0, and the mesh
-    covers the same domain at any cross resolution: between two levels the
-    cusp's side faces are planar.
+    A node with cross coordinates c_i and height t is the reference-cone
+    point (c_1 t, ..., c_{n-1} t, t), which ``phi`` carries to
+    (c_1 t**(a g_1), ..., c_{n-1} t**(a g_{n-1}), t**a).  Each level t
+    carries its own cross grid (``_cross_counts``): ``resolution`` cells per
+    axis down to x_n = COARSE_TIP / resolution, coarser below.  Nodes are
+    numbered level by level with the cross indices increasing.  Layers
+    between equal cross grids get the Kuhn split of ``_grid_cells``, one
+    block per run of equal levels; a layer where the grid halves gets
+    ``_transition_cells``.  Every simplex stays positively oriented for
+    t >= tip > 0, and the mesh covers the same domain at any cross
+    resolution: between two levels the cusp's side faces are planar.
     """
-    n = len(exponents) + 1
     levels = _graded_levels(resolution, tip)
-    counts = _cross_counts(levels, resolution, exponents, a)
+    counts = _cross_counts(levels, resolution, phi.domain.gamma_exponents, phi.a)
     starts = np.flatnonzero(np.r_[True, np.any(counts[1:] != counts[:-1], axis=1)])
     nodes, cells = [], []
     top = None
@@ -467,11 +444,7 @@ def _collapsed_grid_mesh(
         offset = sum(len(block) for block in nodes)
         idx = offset + np.arange(grids[0].size).reshape(grids[0].shape)
         t = grids[0].ravel()
-        block = np.empty((t.size, n))
-        for i, g in enumerate(exponents):
-            block[:, i] = grids[i + 1].ravel() * t ** (a * g)
-        block[:, -1] = t**a
-        nodes.append(block)
+        nodes.append(phi(np.stack([c.ravel() * t for c in grids[1:]] + [t], axis=1)))
         if top is not None:
             cells.append(_transition_cells(top, idx[0]))
         cells.append(offset + _grid_cells(idx.shape))
@@ -492,19 +465,21 @@ def mesh_reference(n: int, resolution: int, tip_radius: float = TIP_RADIUS) -> M
     """Graded simplicial mesh of the reference cone in R^n (n = 2 or 3)."""
     if n not in (2, 3):
         raise GeometryError(f"only n = 2 or 3 supported, got {n}")
-    return mesh_cusp(reference_domain(n), 1.0, resolution, tip_radius)
+    return mesh_cusp(CuspDomain((1.0,) * (n - 1)), 1.0, resolution, tip_radius)
 
 
 def mesh_cusp(
     domain: CuspDomain, a: float, resolution: int, tip_radius: float = TIP_RADIUS
 ) -> Mesh:
-    """Mesh of the cusp domain: the reference mesh pushed through phi_a."""
-    if not a > 0.0:
-        raise GeometryError(f"mapping exponent must be positive, got a={a}")
+    """Mesh of the cusp domain: the graded reference-cone mesh pushed through phi_a.
+
+    ``CuspMap(a, domain)`` is the map, and it refuses a <= 0.
+    """
+    phi = CuspMap(a, domain)
     if not 0.0 < tip_radius < 1.0:
         raise GeometryError(f"tip radius must lie in (0, 1), got {tip_radius}")
     _check_resolution(resolution)
-    return _collapsed_grid_mesh(domain.gamma_exponents, a, resolution, tip_radius)
+    return _collapsed_grid_mesh(phi, resolution, tip_radius)
 
 
 def mesh_box(box: BoxDomain, resolution: int) -> Mesh:
@@ -521,42 +496,10 @@ def mesh_box(box: BoxDomain, resolution: int) -> Mesh:
 
 def write_mesh_text(mesh: Mesh, path) -> None:
     """Plain-text export: node count, node lines, cell count, cell lines."""
-    path = Path(path)
-    with path.open("w") as fh:
+    with open(path, "w") as fh:
         fh.write(f"{mesh.num_nodes}\n")
         for row in mesh.nodes:
             fh.write(" ".join(repr(float(v)) for v in row) + "\n")
         fh.write(f"{mesh.num_cells}\n")
         for row in mesh.cells:
             fh.write(" ".join(str(int(v)) for v in row) + "\n")
-
-
-def read_mesh_text(path) -> Mesh:
-    """Read a mesh written by :func:`write_mesh_text`.
-
-    A cell index outside [0, node count) raises :class:`GeometryError`
-    naming the cell and its line, counted from 1.
-    """
-    lines = Path(path).read_text().splitlines()
-    pos = 0
-    num_nodes = int(lines[pos])
-    pos += 1
-    nodes = np.array(
-        [[float(v) for v in lines[pos + i].split()] for i in range(num_nodes)]
-    )
-    pos += num_nodes
-    num_cells = int(lines[pos])
-    pos += 1
-    cells = np.array(
-        [[int(v) for v in lines[pos + i].split()] for i in range(num_cells)],
-        dtype=np.int64,
-    )
-    outside = (cells < 0) | (cells >= num_nodes)
-    if np.any(outside):
-        cell = int(np.argmax(outside.any(axis=1)))
-        raise GeometryError(
-            f"{path}, line {pos + cell + 1}: cell {cell} has node index "
-            f"{int(cells[cell][outside[cell]][0])} outside [0, {num_nodes})"
-        )
-    cells, vols, inv_edges = _orient_and_check(nodes, cells)
-    return Mesh(nodes=nodes, cells=cells, volumes=vols, inv_edges=inv_edges)

@@ -26,7 +26,15 @@ from .bounds import (
     m_rq_bound,
     m_rq_exact,
 )
-from .discretization import ScalarField, assembly, grad_norm_p, lq_norm, project_zero_mean
+from .discretization import (
+    ScalarField,
+    _flux_weight,
+    assembly,
+    grad_norm_p,
+    lq_norm,
+    p_form_apply,
+    project_zero_mean,
+)
 from .eigensolver import minimize_rayleigh, solve_eigenpair
 from .geometry import (
     BoxDomain,
@@ -146,7 +154,8 @@ def algebraic_inequality_stats(
 
     For random pairs the pairing (|a|^(p-2)a - |b|^(p-2)b) . (a - b) must be
     nonnegative, with a strictly positive minimum ratio against
-    (|a| + |b|)^(p-2) |a - b|^2.
+    (|a| + |b|)^(p-2) |a - b|^2.  The weight |a|^(p-2) is the one both
+    solver routes use (``discretization._flux_weight``).
     """
     rng = np.random.default_rng(seed)
     av = rng.uniform(-1.0, 1.0, (pairs, dim))
@@ -154,14 +163,11 @@ def algebraic_inequality_stats(
     na = np.linalg.norm(av, axis=1)
     nb = np.linalg.norm(bv, axis=1)
 
-    def flux(vec, norm):
-        w = np.zeros_like(norm)
-        nz = norm > 0.0
-        w[nz] = norm[nz] ** (p - 2.0)
-        return w[:, None] * vec
+    def flux(vec):
+        return _flux_weight(np.einsum("ij,ij->i", vec, vec), p)[:, None] * vec
 
     diff = av - bv
-    pairing = np.einsum("ij,ij->i", flux(av, na) - flux(bv, nb), diff)
+    pairing = np.einsum("ij,ij->i", flux(av) - flux(bv), diff)
     denom = (na + nb) ** (p - 2.0) * np.einsum("ij,ij->i", diff, diff)
     valid = denom > 0.0
     ratio = pairing[valid] / denom[valid]
@@ -183,8 +189,6 @@ def operator_monotonicity_stats(
     int (|grad v| + |grad w|)^(p-2) |grad(v - w)|^2, whose strict positivity
     witnesses strict monotonicity modulo constants.
     """
-    from .discretization import p_form_apply
-
     rng = np.random.default_rng(seed)
     asm = assembly(mesh)
     min_pairing = math.inf

@@ -4,6 +4,7 @@ import time
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 import cuspeig as ce
@@ -106,8 +107,13 @@ class TestSolveCommand:
         diagnostics = doc["result"]["diagnostics"]
         assert set(diagnostics) == {"ray_trials", "restarts", "start_sweeps"}
         assert 1 <= diagnostics["restarts"] <= doc["result"]["iterations"]
-        mesh = ce.read_mesh_text(mesh_path)
-        assert mesh.volume == pytest.approx(1.0, rel=1e-12)
+        mesh = ce.mesh_box(ce.BoxDomain((1.0, 1.0)), 16)
+        num_nodes = int(np.loadtxt(mesh_path, max_rows=1))
+        assert num_nodes == doc["result"]["nodes"] == mesh.num_nodes
+        nodes = np.loadtxt(mesh_path, skiprows=1, max_rows=num_nodes)
+        cells = np.loadtxt(mesh_path, skiprows=num_nodes + 2, dtype=np.int64)
+        np.testing.assert_array_equal(nodes, mesh.nodes)
+        np.testing.assert_array_equal(cells, mesh.cells)
 
     def test_cusp_iterate_trace(self, tmp_path):
         out = tmp_path / "solve.json"

@@ -302,36 +302,6 @@ def test_field_validation(square16):
         ce.ScalarField(square16, bad)
 
 
-def test_field_text_roundtrip(tmp_path, square16, rng):
-    u = ce.ScalarField(square16, rng.uniform(-1.0, 1.0, square16.num_nodes))
-    path = tmp_path / "field.txt"
-    ce.write_field_text(u, path)
-    back = ce.read_field_text(square16, path)
-    np.testing.assert_array_equal(back.values, u.values)
-
-
-@pytest.mark.parametrize(
-    "edit, message",
-    [
-        # Cut after 9 of 25 value lines: 16 nodes were read as 0.
-        (lambda lines: lines[:10], "line 11: file ends after 9 of 25 value lines"),
-        # Node 1's line in place of node 2's: node 2 was read as 0.
-        (lambda lines: lines[:3] + lines[2:3] + lines[4:], "line 4: node index 1 repeated"),
-        (lambda lines: lines + ["25 0.5"], "line 27: more than the 25 value lines"),
-        (lambda lines: lines[:2] + ["1 0.5 2"] + lines[3:], "line 3: expected 'index value'"),
-        (lambda lines: lines[:2] + ["-1 0.5"] + lines[3:], r"line 3: node index -1 outside \[0, 25"),
-    ],
-    ids=["truncated", "repeated", "extra", "malformed", "negative"],
-)
-def test_field_text_rejects_a_bad_line(tmp_path, edit, message):
-    mesh = ce.mesh_box(ce.BoxDomain((1.0, 1.0)), 4)
-    path = tmp_path / "field.txt"
-    ce.write_field_text(ce.ScalarField(mesh, np.arange(mesh.num_nodes) + 1.0), path)
-    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
-    with pytest.raises(ValueError, match=message):
-        ce.read_field_text(mesh, path)
-
-
 def test_assembly_cache_releases_mesh():
     for sides in ((1.0, 1.0), (1.0, 1.0, 1.0)):
         mesh = ce.mesh_box(ce.BoxDomain(sides), 4)

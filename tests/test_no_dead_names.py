@@ -5,10 +5,16 @@ bound at module level by ``def``, ``class`` or an assignment.  A use is a
 ``Name`` or ``Attribute`` node of the syntax tree outside the statement
 that defines the name, so mentions in docstrings and comments, and a
 function's calls to itself, do not count.
+
+The package's ``__all__`` lists exactly what it exports: a stale entry
+breaks ``from cuspeig import *``.
 """
 
 import ast
+import inspect
 from pathlib import Path
+
+import cuspeig
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "cuspeig"
 
@@ -74,3 +80,16 @@ def test_finder_ignores_docstrings_and_self_calls():
         "b.py": "from a import _used\nimport a\nvalue = _used() + a._other\n",
     }
     assert dead_private_names(sources) == ["a.py:_dead", "a.py:_recursive"]
+
+
+def test_package_all_matches_its_imports():
+    unresolved = [name for name in cuspeig.__all__ if not hasattr(cuspeig, name)]
+    assert unresolved == []
+    imported = {
+        name
+        for name, obj in vars(cuspeig).items()
+        if not name.startswith("_")
+        and (inspect.isclass(obj) or inspect.isfunction(obj))
+        and obj.__module__.startswith("cuspeig.")
+    }
+    assert sorted(imported - set(cuspeig.__all__)) == []
