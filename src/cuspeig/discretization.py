@@ -148,64 +148,63 @@ class EnergyAssembly:
 
     @cached_property
     def _band_plan(self):
-        """Where each cell-local entry of the grounded block lands in its band.
+        """Where each cell's entry of every local pair lands in the band.
 
-        Returns (kept, per_cell, slots, width, order, rank).  The entries
-        ``local[kept]`` of a (C, n+1, n+1) cell-local array, in cell order,
-        are those joining two free nodes with the row's band rank at most
-        the column's, ``per_cell`` of them in each cell; they add into
-        ``slots`` of LAPACK's upper band storage of half-bandwidth
-        ``width``, flattened in Fortran order.  ``order`` lists the free
-        nodes in band order, by x_n and then by their cross coordinates
-        descending, and ``rank`` inverts it.  Every edge of the
-        collapsed-grid mesh joins one level or two adjacent ones, so the
-        half-bandwidth is the largest level's node count; a mesh without
-        that structure gets a wider band, not a wrong one.
+        Returns (pairs, slots, width, order, rank).  ``pairs`` lists the
+        unordered local pairs (a, b), a <= b, and row k of the (P, C)
+        ``slots`` holds, cell by cell, the position that the entry joining
+        corners a and b adds into in LAPACK's upper band storage of
+        half-bandwidth ``width``, flattened in Fortran order.  An entry on
+        the ground goes one past the band, where ``_band`` slices it off.
+        ``order`` lists the free nodes in band order, by x_n and then by
+        their cross coordinates descending, and ``rank`` inverts it.  Every
+        edge of the collapsed-grid mesh joins one level or two adjacent
+        ones, so the half-bandwidth is the largest level's node count; a
+        mesh without that structure gets a wider band, not a wrong one.
         """
         x = self.nodes[self.free]
         # The last key sorts first: x_n, then x_{n-1}, ..., x_1 descending.
         order = np.lexsort((*(-x[:, :-1].T[::-1]), x[:, -1]))
         rank = np.argsort(order)
-        # Band rank of every cell corner; -1 marks the ground.
-        node_rank = np.full(self.num_nodes, -1, dtype=np.int32)
+        # Band rank of every cell corner; -1 marks the ground.  intp slots
+        # spare bincount a copy.
+        node_rank = np.full(self.num_nodes, -1, dtype=np.intp)
         node_rank[self.free] = rank
-        corner = node_rank[self.cells]
-        # Row and column ranks of every local entry, as contiguous copies:
-        # boolean gathers from broadcast views take twice as long.
-        nloc = corner.shape[1]
-        i = np.repeat(corner, nloc, axis=1).reshape(-1, nloc, nloc)
-        j = np.tile(corner, (1, nloc)).reshape(-1, nloc, nloc)
-        kept = (i >= 0) & (i <= j)
-        i, j = i[kept], j[kept]
-        width = int(np.max(j - i))
-        # A cell's m free corners have distinct ranks, so it keeps the
-        # m (m + 1) / 2 entries of one triangle.
-        free_corners = np.count_nonzero(corner >= 0, axis=1)
+        corner = node_rank[self.cells.T]
+        first, second = np.triu_indices(len(corner))
+        row, col = corner[first], corner[second]
+        i = np.minimum(row, col)
+        j = np.maximum(row, col, out=row)
+        grounded = i < 0
+        width = int(np.max(j - i, where=~grounded, initial=0))
         # band[width + i - j, j] = A[i, j], flattened in Fortran order, is
-        # what pbtrf factors in place; intp slots spare bincount a copy.
-        slots = j.astype(np.intp)
+        # what pbtrf factors in place.
+        slots = j
         slots += 1
         slots *= width
         slots += i
-        return kept, free_corners * (free_corners + 1) // 2, slots, width, order, rank
+        slots[grounded] = (width + 1) * self.free.size
+        return list(zip(first, second)), slots, width, order, rank
 
     def _band(self, scale, rank_scale=None, rank_vectors=None) -> np.ndarray:
         """Band of sum_c (s_c G^T G + r_c d_c d_c^T) for per-cell rows d_c.
 
-        One gather of the kept Gram entries (see ``_band_plan``), scaled in
-        place, and one bincount, which sums each entry's cell terms in cell
-        order.  No (C, n+1, n+1) array of the weighted Gram matrices is
-        made, which keeps it out of the peak memory beside the new band.
+        Each local pair's cell values, s gram[:, a, b] + r (d_a d_b), fill
+        one row of a (P, C) array, and one bincount over ``_band_plan``'s
+        slots sums every entry's terms.  No (C, n+1, n+1) array of the
+        weighted Gram matrices is made, which keeps it out of the peak
+        memory beside the new band.
         """
-        kept, per_cell, slots, width, *_ = self._band_plan
-        values = self.grad_gram[kept]
-        values *= np.repeat(scale, per_cell)
-        if rank_vectors is not None:
-            values += np.repeat(rank_scale, per_cell) * (
-                rank_vectors[:, :, None] * rank_vectors[:, None, :]
-            )[kept]
-        band = np.bincount(slots, weights=values, minlength=(width + 1) * self.free.size)
-        return band.reshape((width + 1, self.free.size), order="F")
+        pairs, slots, width, *_ = self._band_plan
+        gram = self.grad_gram
+        values = np.empty(slots.shape)
+        for row, (a, b) in zip(values, pairs):
+            np.multiply(scale, gram[:, a, b], out=row)
+            if rank_vectors is not None:
+                row += rank_scale * (rank_vectors[:, a] * rank_vectors[:, b])
+        size = (width + 1) * self.free.size
+        band = np.bincount(slots.ravel(), weights=values.ravel(), minlength=size + 1)
+        return band[:size].reshape((width + 1, self.free.size), order="F")
 
     def weighted_stiffness(self, weights: np.ndarray, rank_weights=None, rank_vectors=None) -> np.ndarray:
         """Band of sum_c vol_c (w_c G^T G + r_c d_c d_c^T), the grounded block
@@ -228,8 +227,8 @@ class EnergyAssembly:
         """Factor a Neumann matrix's grounded block from its band, in place.
 
         The grounded block drops the ground node's row and column.  Every
-        matrix solved here (stiffness, lagged-weight preconditioner, Newton
-        Hessian) is symmetric with the constants as its kernel, so that
+        matrix solved here (the stiffness and the p-energy Hessian of both
+        routes) is symmetric with the constants as its kernel, so that
         block is SPD; grounding at a tip node instead, where cells are tiny,
         loses accuracy.  The band is what ``weighted_stiffness`` returns
         (see ``_band_plan``), and LAPACK's banded Cholesky overwrites it

@@ -1,20 +1,24 @@
 """Two routes to the first nontrivial Neumann (p,q)-eigenpair.
 
 Route A minimizes the Rayleigh quotient directly over the discrete zero
-(q-1)-mean class by preconditioned Polak-Ribiere conjugate directions with
-projection onto the class after every step.  Route B (q = 2 only) runs
-inverse power iteration: each step solves the p-Laplace problem with the
-previous normalized iterate w_n as source, normalizes the solution z to w,
-and takes the multiplier mu_n = E(w) / <w_n, w> = ||z||^{-(p-1)}.  From the
-second step on it then minimizes the quotient along w - w_n and, from the
-third on, along w_n - w_{n-1}: the rays of a three-term locally optimal
-step over span{w, w_n, w_{n-1}}, the LOBPCG trial space (Knyazev, SIAM J.
-Sci. Comput. 23 (2001)), and renormalizes.  The step can only lower the
+(q-1)-mean class by Polak-Ribiere conjugate directions preconditioned by
+the p-energy Hessian, the matrix route B's Newton steps factor (its
+lagged-weight part alone below p = 2), with every step shifted back into
+the class.  Route B (q = 2 only) runs inverse power iteration: each step
+solves the p-Laplace problem with the previous normalized iterate w_n as
+source, normalizes the solution z to w, and takes the multiplier
+mu_n = E(w) / <w_n, w> = ||z||^{-(p-1)}.  From the second step on it then
+minimizes the quotient along w - w_n and, from the third on, along
+w_n - w_{n-1}: the rays of a three-term locally optimal step over
+span{w, w_n, w_{n-1}}, the LOBPCG trial space (Knyazev, SIAM J. Sci.
+Comput. 23 (2001)), and renormalizes.  The step can only lower the
 source's quotient, so both the multipliers mu_n and the energies
 ||grad w_{n+1}||^p stay nonincreasing and converge to a common eigenvalue.
 Both routes lower the quotient along a ray by one search, ``_ray_descent``,
 with one start clamp; it accepts every t > 0 the search returns, since the
-search returns one only where the quotient did not rise.
+search returns one only where the quotient did not rise, and hands back
+the accepted field normalized, with its cell arrays, so that neither
+route gathers them again.
 
 Both routes take one start: the given field swept four times by linear
 inverse iteration v <- K^{-1} M v through the stiffness factor, which
@@ -168,8 +172,8 @@ def default_initial_field(mesh: Mesh) -> ScalarField:
 def _normalized(mesh: Mesh, asm, values: np.ndarray, q: float) -> np.ndarray:
     """values shifted to zero (q-1)-mean and scaled to unit L^q norm.
 
-    The one normalization of both routes: their starts, route A's accepted
-    steps, and route B's inner solutions and locally optimal steps.
+    The normalization of both routes' starts and of route B's inner
+    solutions; a ray's accepted step comes normalized from ``_Ray``.
     """
     projected = project_zero_mean(ScalarField(mesh, values), q).values
     return projected / _lq_norm_from_values(asm, asm.quad_values(projected), q)
@@ -224,6 +228,13 @@ def _weighted_step(asm, grad: np.ndarray, *weights) -> np.ndarray:
         if float(grad @ step) < 0.0:
             return step
     return -asm.solve_neumann(grad)
+
+
+def _hessian_weights(asm, g: np.ndarray, sq: np.ndarray, p: float, curvature: float):
+    """(|g|^(p-2), curvature |g|^(p-4), G^T g) from cell gradients g and the
+    floored sq = |g|^2: the p-energy Hessian's weights at curvature p - 2."""
+    rank_rows = np.einsum("cik,ci->ck", asm.grads, g)
+    return _flux_weight(sq, p), curvature * sq ** ((p - 4.0) / 2.0), rank_rows
 
 
 def _stationarity(asm, grads, vals, p: float, q: float, eps: float):
@@ -316,10 +327,7 @@ def solve_p_laplace_source(
         if rel_grad <= tol:
             return ScalarField(mesh, v)
         sq = np.einsum("ci,ci->c", g, g) + EPS_REGULARIZATION * EPS_REGULARIZATION
-        w1 = _flux_weight(sq, p)
-        w2 = (p - 2.0) * sq ** ((p - 4.0) / 2.0)
-        rank_rows = np.einsum("cik,ci->ck", asm.grads, g)  # d_c = G^T g
-        direction = _weighted_step(asm, grad_vec, w1, w2, rank_rows)
+        direction = _weighted_step(asm, grad_vec, *_hessian_weights(asm, g, sq, p, p - 2.0))
         slope = float(grad_vec @ direction)
         # Below this decrement the energy decrease is not representable in
         # float64, so the iterate is converged to working precision.
@@ -431,10 +439,9 @@ def inverse_iteration(
         # ray took 42 trials for a relative gain of 2e-8 to 4e-8.
         for k in range(min(iteration - 1, 2)):
             d = w - source if k == 0 else source - previous
-            w, t, trials = _ray_descent(mesh, asm, w, grads, vals, d, p, 2.0, t_prev[k])
+            w, grads, vals, t, trials = _ray_descent(asm, w, grads, vals, d, p, 2.0, t_prev[k])
             ray_trials += trials
             if t > 0.0:
-                grads, vals = asm.gradients(w), asm.quad_values(w)
                 t_prev[k] = t
                 accepted[k] += 1
             # Freed before the next inner solve, whose factorization sets
@@ -480,20 +487,20 @@ def inverse_iteration(
     return _eigenpair(mesh, w, p, 2.0, iteration, diagnostics), trace
 
 
-def _ray_descent(
-    mesh: Mesh, asm, w, grads, vals, d, p: float, q: float, t_prev: float, start=None
-):
-    """(w', t, trials): the quotient minimized along w + t d, t > 0, or
-    along w - t d where it rises along d, by the search of ``_ray_minimum``
-    from t_prev clamped to [1e-8, 4].
+def _ray_descent(asm, w, grads, vals, d, p: float, q: float, t_prev: float, start=None):
+    """(w', grads', vals', t, trials): the quotient minimized along w + t d,
+    t > 0, or along w - t d where it rises along d, by the search of
+    ``_ray_minimum`` from t_prev clamped to [1e-8, 4].
 
     ``grads`` and ``vals`` are the cell arrays of w, which has unit L^q norm
     and zero (q-1)-mean.  ``start`` is (phi(0), phi'(0)) where the caller
-    knows it, which saves the trial at t = 0.  w' is the normalized
-    minimizer where t > 0, which the search returns only with
-    phi(t) <= phi(0); otherwise w with t = 0.  The second ray of a
-    route-B step starts uphill now and then on 16 x 16 boxes at p = 1.5
-    and 3.
+    knows it, which saves the trial at t = 0.  Where t > 0, which the
+    search returns only with phi(t) <= phi(0), w' is the minimizer
+    normalized, (w + t d - c) / N^(1/q) with the accepted trial's shift c
+    and norm N, and grads' and vals' are its cell arrays, built from the
+    ray's; otherwise the ray hands back w and its arrays with t = 0.  The
+    second ray of a route-B step starts uphill now and then on 16 x 16
+    boxes at p = 1.5 and 3.
     """
     ray = _Ray(asm, grads, asm.gradients(d), vals, asm.quad_values(d), p, q)
     value0, slope0 = start if start is not None else ray(0.0)
@@ -506,8 +513,8 @@ def _ray_descent(
 
         t = _ray_minimum(oriented, value0, -abs(slope0), min(max(t_prev, 1e-8), 4.0))
         if t > 0.0:
-            return _normalized(mesh, asm, w + (sign * t) * d, q), t, ray.trials
-    return w, 0.0, ray.trials
+            return (*ray.normalized_point(w, d, sign * t), t, ray.trials)
+    return w, grads, vals, 0.0, ray.trials
 
 
 class _Ray:
@@ -526,17 +533,33 @@ class _Ray:
         # |grad(u + t d)|^2 = a + 2 b t + c t^2 on every cell.
         pairs = ((grad_u, grad_u), (grad_u, grad_d), (grad_d, grad_d))
         self.cell_terms = tuple(np.einsum("ci,ci->c", x, y) for x, y in pairs)
+        self.grads = (grad_u, grad_d)
         self.vals = (vals_u, vals_d)
         # Shift of the last trial; u has zero (q-1)-mean.
         self.shift = 0.0
+        # (c, N) of every trial, by t.
+        self.shifts: dict[float, tuple[float, float]] = {}
         self.trials = 0
 
     def __call__(self, t: float) -> tuple[float, float]:
         self.trials += 1
         energy, d_energy = self.cell_energy(t)
         norm, d_norm = self.shift_norm(t)
+        self.shifts[t] = (self.shift, norm)
         scale = norm ** (-self.p / self.q)
         return energy * scale, (d_energy - self.p / self.q * energy * d_norm / norm) * scale
+
+    def normalized_point(self, u: np.ndarray, d: np.ndarray, t: float):
+        """(v, grad v, vals v) for v = (u + t d - c) / N^(1/q) at a trial's t:
+        the field the trial measured, at zero (q-1)-mean and unit L^q norm."""
+        shift, norm = self.shifts[t]
+        scale = norm ** (-1.0 / self.q)
+        (grad_u, grad_d), (vals_u, vals_d) = self.grads, self.vals
+        return (
+            (u + t * d - shift) * scale,
+            (grad_u + t * grad_d) * scale,
+            (vals_u + t * vals_d - shift) * scale,
+        )
 
     def cell_energy(self, t: float) -> tuple[float, float]:
         """(E, E') with E' = p sum vol |g|^(p-2) g.g_d, g = grad(u + t d)."""
@@ -645,9 +668,12 @@ def minimize_rayleigh(
     ``u0`` (by default x_n) swept by p = 2 inverse iteration where that
     lowers its quotient (see ``_initial_iterate``).  Each step solves a
     linear Neumann problem for the preconditioned quotient gradient z
-    (plain stiffness at p = 2, the lagged |grad u|^(p-2)-weighted
-    stiffness otherwise, or the plain stiffness where that block breaks
-    down or its step does not descend), searches along
+    (plain stiffness at p = 2; otherwise the p-energy Hessian
+    sum vol (w1 G^T G + w2 d d^T) with w1 = |grad u|^(p-2),
+    w2 = max(p - 2, 0) |grad u|^(p-4) and d = G^T grad u, which is route
+    B's Newton matrix for p > 2 and the lagged weights, its upper bound,
+    for p < 2; or the plain stiffness where that block breaks down or its
+    step does not descend), searches along
     d = z + beta d_prev with the Polak-Ribiere
     beta = max(0, g.(z - z_prev) / (g_prev.z_prev)), minimizes the
     re-projected quotient along the ray, and renormalizes.  Where d does
@@ -668,8 +694,10 @@ def minimize_rayleigh(
     and quadrature values of u and d taken once per step, and phi(0) and
     phi'(0) = grad_r . d are known before the first trial.  phi' keeps its
     accuracy where phi is flat to round-off, so the search still steers
-    there; only the accepted step is projected and measured on nodal
-    vectors.  A step with t = 0 keeps u and the last accepted t.
+    there.  The accepted step comes back from the ray as
+    (u + t d - c) / N^(1/q), with the accepted trial's shift c and norm N,
+    together with its cell arrays, so no step is projected or gathered
+    again.  A step with t = 0 keeps u and the last accepted t.
     ``diagnostics`` counts the trials (``ray_trials``), the steps along
     z alone (``restarts``) and the p = 2 sweeps the start took
     (``start_sweeps``).
@@ -687,9 +715,8 @@ def minimize_rayleigh(
     g_prev = z_prev = d_prev = None
     ray_trials = restarts = 0
     resid = math.inf
+    grad_u, vals_u = asm.gradients(u), asm.quad_values(u)
     for iteration in range(1, max_iter + 1):
-        grad_u = asm.gradients(u)
-        vals_u = asm.quad_values(u)
         # ||u||_q = 1 after normalization, so the energy is the quotient.
         rayleigh, kp, rhs, resid = _stationarity(asm, grad_u, vals_u, p, q, eps)
         history.append((rayleigh, resid, abs(_constraint_from_values(asm, vals_u, q))))
@@ -700,13 +727,16 @@ def minimize_rayleigh(
         if p == 2.0:
             step = -asm.solve_neumann(grad_r)
         else:
-            # Lagged-weight preconditioner, rebuilt each step: the plain
-            # stiffness misjudges the p-energy curvature by |grad u|^(p-2),
-            # which varies over orders of magnitude on cusp meshes and
-            # strangles the step size; stale weights are nearly as bad.
+            # The energy Hessian, rebuilt each step: the plain stiffness
+            # misjudges the p-energy curvature by |grad u|^(p-2), which
+            # varies over orders of magnitude on cusp meshes and strangles
+            # the step size.  Below p = 2 its rank-one term is negative and
+            # is dropped, which leaves the lagged weights, an upper bound.
             sq = np.einsum("ci,ci->c", grad_u, grad_u)
-            floor = 1e-12 * (float(np.mean(sq)) or 1.0)
-            step = _weighted_step(asm, grad_r, _flux_weight(sq + floor, p))
+            sq += 1e-12 * (float(np.mean(sq)) or 1.0)
+            step = _weighted_step(
+                asm, grad_r, *_hessian_weights(asm, grad_u, sq, p, max(p - 2.0, 0.0))
+            )
         # Polak-Ribiere conjugate direction; the plain step where beta <= 0
         # or the conjugate direction does not descend.
         direction = step
@@ -722,7 +752,9 @@ def minimize_rayleigh(
         # across iterations even on strongly anisotropic meshes.
         direction = direction / math.sqrt(max(direction @ (asm.mass @ direction), 0.0))
         start = (rayleigh, float(grad_r @ direction))
-        u, t, trials = _ray_descent(mesh, asm, u, grad_u, vals_u, direction, p, q, t_prev, start)
+        u, grad_u, vals_u, t, trials = _ray_descent(
+            asm, u, grad_u, vals_u, direction, p, q, t_prev, start
+        )
         ray_trials += trials
         if t > 0.0:
             t_prev = t
