@@ -47,27 +47,47 @@ class ScalarField:
         return ScalarField(self.mesh, values)
 
 
+def _dot_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """sum_i x[i] * y[i] over the leading, component axis, row by row.
+
+    The one per-cell contraction of the component-major arrays: with
+    (n, C) cell vectors it gives the (C,) dot products, with the (n, n+1, C)
+    ``grads`` and (n, C) cell vectors the (n+1, C) local vectors G^T x.
+    """
+    total = x[0] * y[0]
+    for i in range(1, len(y)):
+        total += x[i] * y[i]
+    return total
+
+
 class EnergyAssembly:
     """Per-mesh P1 operators: cell gradients, quadrature tables, p=2 forms.
 
     Built in one pass from the mesh's closed-form inverse edge matrices
-    (``geometry.adjugate``), with no per-cell LAPACK call.
+    (``geometry.adjugate``), with no per-cell LAPACK call.  Every per-cell
+    array is component-major, cells last: ``cells`` is (n+1, C),
+    ``inv_edges`` (n, n, C) and ``grads`` (n, n+1, C), views of the mesh's
+    storage, and cell gradients are (n, C).  Each kernel is then a few
+    operations on contiguous (C,) rows.  Quadrature values stay (C, K).
     """
 
     def __init__(self, mesh: Mesh):
         # Holds no reference to the mesh: the cache below is keyed weakly by
         # it, and a value that refers to its own key keeps the key alive.
-        self.inv_edges = mesh.inv_edges                  # (C, n, n)
-        # grads[c] maps local nodal values to the constant cell gradient:
-        # for affine u = w.x the edge differences are (edges @ w), so
-        # column k >= 1 is the inverse's column k - 1 and column 0 is minus
-        # their sum.
-        grads = np.empty(self.inv_edges.shape[:2] + (mesh.n + 1,))
-        grads[:, :, 1:] = self.inv_edges
-        np.negative(self.inv_edges.sum(axis=2), out=grads[:, :, 0])
-        self.grads = grads                               # (C, n, n+1)
+        self.inv_edges = mesh.inv_edges.transpose(1, 2, 0)  # (n, n, C)
+        # grads[:, :, c] maps local nodal values to the constant cell
+        # gradient: for affine u = w.x the edge differences are (edges @ w),
+        # so column k >= 1 is the inverse's column k - 1 and column 0 is
+        # minus their sum.
+        grads = np.empty((mesh.n, mesh.n + 1, mesh.num_cells))
+        grads[:, 1:] = self.inv_edges
+        np.negative(self.inv_edges.sum(axis=1), out=grads[:, 0])
+        self.grads = grads                               # (n, n+1, C)
         self.volumes = mesh.volumes
-        self.cells = mesh.cells
+        self.cells = mesh.cells.T                        # (n+1, C)
+        # The unordered local pairs (a, b), a <= b, in the order of the
+        # pair-major Gram and band plan.
+        self.pairs = np.triu_indices(mesh.n + 1)
         self.bary = mesh.quad_barycentric                # (K, n+1)
         self.quad_w = mesh.quad_weights                  # (C, K)
         self.num_nodes = mesh.num_nodes
@@ -79,18 +99,17 @@ class EnergyAssembly:
         self.free = np.delete(np.arange(mesh.num_nodes), ground)
 
     def gradients(self, values: np.ndarray) -> np.ndarray:
-        """(C, n) cell gradients of a nodal vector.
+        """(n, C) cell gradients of a nodal vector, row i the i-th component.
 
         Differences are taken before applying the edge inverse so constants
         have an exactly zero gradient on every cell.
         """
         corner_vals = values[self.cells]
-        diffs = corner_vals[:, 1:] - corner_vals[:, :1]
-        return np.einsum("cij,cj->ci", self.inv_edges, diffs)
+        return _dot_rows(self.inv_edges.transpose(1, 0, 2), corner_vals[1:] - corner_vals[0])
 
     def quad_values(self, values: np.ndarray) -> np.ndarray:
         """(C, K) field values at the quadrature points."""
-        return values[self.cells] @ self.bary.T
+        return values[self.cells].T @ self.bary.T
 
     def integrate_pointwise(self, point_values: np.ndarray) -> float:
         """Quadrature sum of values given at the quadrature points."""
@@ -98,30 +117,38 @@ class EnergyAssembly:
 
     def scatter_quad(self, point_values: np.ndarray) -> np.ndarray:
         """Nodal vector with entries int f phi_j for quadrature-point data f."""
-        contrib = (self.quad_w * point_values) @ self.bary  # (C, n+1)
+        contrib = self.bary.T @ (self.quad_w * point_values).T  # (n+1, C)
         return np.bincount(self.cells.ravel(), weights=contrib.ravel(), minlength=self.num_nodes)
 
     def scatter_flux(self, cell_flux: np.ndarray) -> np.ndarray:
-        """Nodal vector with entries sum_c vol_c * flux_c . grad(phi_j)."""
-        contrib = np.einsum(
-            "ci,cik->ck", self.volumes[:, None] * cell_flux, self.grads
-        )
+        """Nodal vector with entries sum_c vol_c * flux_c . grad(phi_j),
+        from the (n, C) cell fluxes."""
+        contrib = _dot_rows(self.grads, self.volumes * cell_flux)  # (n+1, C)
         return np.bincount(self.cells.ravel(), weights=contrib.ravel(), minlength=self.num_nodes)
 
     @cached_property
-    def grad_gram(self) -> np.ndarray:
-        """(C, n+1, n+1) per-cell Gram matrices G^T G of the gradient
-        operators, as n sums of outer products of G's rows."""
-        rows = self.grads
-        gram = rows[:, 0, :, None] * rows[:, 0, None, :]
-        for i in range(1, rows.shape[1]):
-            gram += rows[:, i, :, None] * rows[:, i, None, :]
+    def gram(self) -> np.ndarray:
+        """(P, C) pair-major Gram entries (G^T G)_ab over the local pairs
+        ``pairs``, each a sum of n contiguous row products."""
+        gram = np.empty((len(self.pairs[0]), self.volumes.size))
+        for row, a, b in zip(gram, *self.pairs):
+            row[:] = _dot_rows(self.grads[:, a], self.grads[:, b])
         return gram
 
     @cached_property
     def stiffness(self) -> sp.csr_matrix:
-        """CSR sum of the cells' vol * G^T G, by scipy's COO -> CSR conversion."""
-        return self._csr(self.volumes[:, None, None] * self.grad_gram)
+        """CSR sum of the cells' vol * G^T G, by scipy's COO -> CSR conversion.
+
+        The pair-major Gram is spread to the full (C, n+1, n+1) local
+        matrices first, so the conversion sums each entry's terms in the
+        cell-major order it always has.
+        """
+        first, second = self.pairs
+        weighted = self.volumes * self.gram
+        local = np.empty((self.volumes.size,) + (len(self.cells),) * 2)
+        local[:, first, second] = weighted.T
+        local[:, second, first] = weighted.T
+        return self._csr(local)
 
     @cached_property
     def mass(self) -> sp.csr_matrix:
@@ -140,7 +167,7 @@ class EnergyAssembly:
 
     def _csr(self, local: np.ndarray) -> sp.csr_matrix:
         """Sum of a (C, n+1, n+1) cell-local array, by scipy's COO -> CSR conversion."""
-        cells = self.cells.astype(np.int32)
+        cells = self.cells.T.astype(np.int32)
         nloc = cells.shape[1]
         rows = np.repeat(cells, nloc, axis=1).ravel()
         cols = np.tile(cells, (1, nloc)).ravel()
@@ -150,12 +177,12 @@ class EnergyAssembly:
     def _band_plan(self):
         """Where each cell's entry of every local pair lands in the band.
 
-        Returns (pairs, slots, width, order, rank).  ``pairs`` lists the
-        unordered local pairs (a, b), a <= b, and row k of the (P, C)
-        ``slots`` holds, cell by cell, the position that the entry joining
-        corners a and b adds into in LAPACK's upper band storage of
-        half-bandwidth ``width``, flattened in Fortran order.  An entry on
-        the ground goes one past the band, where ``_band`` slices it off.
+        Returns (slots, width, order, rank).  Row k of the (P, C) ``slots``
+        holds, cell by cell, the position that the entry joining the k-th
+        local pair (a, b) of ``pairs`` adds into in LAPACK's upper band
+        storage of half-bandwidth ``width``, flattened in Fortran order.
+        An entry on the ground goes one past the band, where ``_band``
+        slices it off.
         ``order`` lists the free nodes in band order, by x_n and then by
         their cross coordinates descending, and ``rank`` inverts it.  Every
         edge of the collapsed-grid mesh joins one level or two adjacent
@@ -170,8 +197,8 @@ class EnergyAssembly:
         # spare bincount a copy.
         node_rank = np.full(self.num_nodes, -1, dtype=np.intp)
         node_rank[self.free] = rank
-        corner = node_rank[self.cells.T]
-        first, second = np.triu_indices(len(corner))
+        corner = node_rank[self.cells]
+        first, second = self.pairs
         row, col = corner[first], corner[second]
         i = np.minimum(row, col)
         j = np.maximum(row, col, out=row)
@@ -184,31 +211,30 @@ class EnergyAssembly:
         slots *= width
         slots += i
         slots[grounded] = (width + 1) * self.free.size
-        return list(zip(first, second)), slots, width, order, rank
+        return slots, width, order, rank
 
     def _band(self, scale, rank_scale=None, rank_vectors=None) -> np.ndarray:
-        """Band of sum_c (s_c G^T G + r_c d_c d_c^T) for per-cell rows d_c.
+        """Band of sum_c (s_c G^T G + r_c d_c d_c^T) for the (n+1, C) rows d.
 
-        Each local pair's cell values, s gram[:, a, b] + r (d_a d_b), fill
-        one row of a (P, C) array, and one bincount over ``_band_plan``'s
-        slots sums every entry's terms.  No (C, n+1, n+1) array of the
-        weighted Gram matrices is made, which keeps it out of the peak
-        memory beside the new band.
+        Row k of a (P, C) array takes the k-th local pair's cell values,
+        gram[k] s + r (d_a d_b), from contiguous rows, and one bincount
+        over ``_band_plan``'s slots sums every entry's terms.  No
+        (C, n+1, n+1) array of the weighted Gram matrices is made, which
+        keeps it out of the peak memory beside the new band.
         """
-        pairs, slots, width, *_ = self._band_plan
-        gram = self.grad_gram
-        values = np.empty(slots.shape)
-        for row, (a, b) in zip(values, pairs):
-            np.multiply(scale, gram[:, a, b], out=row)
-            if rank_vectors is not None:
-                row += rank_scale * (rank_vectors[:, a] * rank_vectors[:, b])
+        slots, width, *_ = self._band_plan
+        values = np.multiply(self.gram, scale)
+        if rank_vectors is not None:
+            for row, a, b in zip(values, *self.pairs):
+                row += rank_scale * (rank_vectors[a] * rank_vectors[b])
         size = (width + 1) * self.free.size
         band = np.bincount(slots.ravel(), weights=values.ravel(), minlength=size + 1)
         return band[:size].reshape((width + 1, self.free.size), order="F")
 
     def weighted_stiffness(self, weights: np.ndarray, rank_weights=None, rank_vectors=None) -> np.ndarray:
-        """Band of sum_c vol_c (w_c G^T G + r_c d_c d_c^T), the grounded block
-        in the storage ``bordered_factorization`` takes; see ``_band``."""
+        """Band of sum_c vol_c (w_c G^T G + r_c d_c d_c^T), d the (n+1, C)
+        ``rank_vectors``, the grounded block in the storage
+        ``bordered_factorization`` takes; see ``_band``."""
         rank_scale = None if rank_vectors is None else self.volumes * rank_weights
         return self._band(self.volumes * weights, rank_scale, rank_vectors)
 
@@ -331,8 +357,8 @@ def grad_norm_p(u: ScalarField, p: float) -> float:
 def _energy_from_gradients(
     asm: EnergyAssembly, grads: np.ndarray, p: float, eps: float = 0.0
 ) -> float:
-    """int (|grad u|^2 + eps^2)^(p/2) from the (C, n) cell gradients of u."""
-    sq = np.einsum("ci,ci->c", grads, grads) + eps * eps
+    """int (|grad u|^2 + eps^2)^(p/2) from the (n, C) cell gradients of u."""
+    sq = _dot_rows(grads, grads) + eps * eps
     return float(np.sum(asm.volumes * sq ** (p / 2.0)))
 
 
@@ -457,9 +483,9 @@ def p_form_apply(u: ScalarField, p: float, eps: float = 0.0) -> np.ndarray:
 def _p_form_from_gradients(
     asm: EnergyAssembly, g: np.ndarray, p: float, eps: float = 0.0
 ) -> np.ndarray:
-    """p_form_apply from the (C, n) cell gradients of u."""
-    sq = np.einsum("ci,ci->c", g, g) + eps * eps
-    return asm.scatter_flux(_flux_weight(sq, p)[:, None] * g)
+    """p_form_apply from the (n, C) cell gradients of u."""
+    sq = _dot_rows(g, g) + eps * eps
+    return asm.scatter_flux(_flux_weight(sq, p) * g)
 
 
 def q_form_apply(u: ScalarField, q: float) -> np.ndarray:

@@ -59,6 +59,7 @@ from .discretization import (
     ConvergenceError,
     ScalarField,
     _constraint_from_values,
+    _dot_rows,
     _energy_from_gradients,
     _flux_weight,
     _lq_norm_from_values,
@@ -231,9 +232,10 @@ def _weighted_step(asm, grad: np.ndarray, *weights) -> np.ndarray:
 
 
 def _hessian_weights(asm, g: np.ndarray, sq: np.ndarray, p: float, curvature: float):
-    """(|g|^(p-2), curvature |g|^(p-4), G^T g) from cell gradients g and the
-    floored sq = |g|^2: the p-energy Hessian's weights at curvature p - 2."""
-    rank_rows = np.einsum("cik,ci->ck", asm.grads, g)
+    """(|g|^(p-2), curvature |g|^(p-4), G^T g) from the (n, C) cell gradients g
+    and the floored sq = |g|^2: the p-energy Hessian's weights at curvature
+    p - 2, with its (n+1, C) rank-one rows."""
+    rank_rows = _dot_rows(asm.grads, g)
     return _flux_weight(sq, p), curvature * sq ** ((p - 4.0) / 2.0), rank_rows
 
 
@@ -326,7 +328,7 @@ def solve_p_laplace_source(
         rel_grad = asm.dual_norm(grad_vec) / scale
         if rel_grad <= tol:
             return ScalarField(mesh, v)
-        sq = np.einsum("ci,ci->c", g, g) + EPS_REGULARIZATION * EPS_REGULARIZATION
+        sq = _dot_rows(g, g) + EPS_REGULARIZATION * EPS_REGULARIZATION
         direction = _weighted_step(asm, grad_vec, *_hessian_weights(asm, g, sq, p, p - 2.0))
         slope = float(grad_vec @ direction)
         # Below this decrement the energy decrease is not representable in
@@ -523,18 +525,30 @@ class _Ray:
     E is the p-energy of u + t d and N = int |u + t d - c|^q with c its
     zero-(q-1)-mean shift, so phi is the quotient of
     project_zero_mean(u + t d, q).  Cell gradients and quadrature values
-    are linear in the nodal values, so the arrays of u and d, taken once
-    per step, give every trial without a gather.  ``trials`` counts the
-    calls.
+    are linear in the nodal values, so the (n, C) gradients and (C, K)
+    values of u and d, taken once per step, give every trial without a
+    gather.  At q = 2 the shift is the mean c_u + t c_d and N the quadratic
+    A + 2 B t + C t^2 in the mean-free sums A = int u~^2, B = int u~ d~ and
+    C = int d~^2, all taken once per ray, so a trial makes no quadrature
+    pass.  ``trials`` counts the calls.
     """
 
     def __init__(self, asm, grad_u, grad_d, vals_u, vals_d, p: float, q: float):
         self.asm, self.p, self.q = asm, p, q
         # |grad(u + t d)|^2 = a + 2 b t + c t^2 on every cell.
         pairs = ((grad_u, grad_u), (grad_u, grad_d), (grad_d, grad_d))
-        self.cell_terms = tuple(np.einsum("ci,ci->c", x, y) for x, y in pairs)
+        self.cell_terms = tuple(_dot_rows(x, y) for x, y in pairs)
         self.grads = (grad_u, grad_d)
         self.vals = (vals_u, vals_d)
+        if q == 2.0:
+            self.means = tuple(asm.integrate_pointwise(v) / asm.volume for v in self.vals)
+            free_u, free_d = (v - mean for v, mean in zip(self.vals, self.means))
+            weighted_d = asm.quad_w * free_d
+            self.norm_terms = (
+                float(np.vdot(asm.quad_w * free_u, free_u)),
+                float(np.vdot(weighted_d, free_u)),
+                float(np.vdot(weighted_d, free_d)),
+            )
         # Shift of the last trial; u has zero (q-1)-mean.
         self.shift = 0.0
         # (c, N) of every trial, by t.
@@ -572,17 +586,19 @@ class _Ray:
         """(N, N') with N' = q int |v-c|^(q-2)(v-c) v_d, v = u + t d.
 
         The shift's own derivative c' drops out of N': its coefficient
-        -q int |v-c|^(q-2)(v-c) is the constraint, which is zero.  The
-        shift is the mean at q = 2; otherwise its root search starts from
-        the last trial's shift.
+        -q int |v-c|^(q-2)(v-c) is the constraint, which is zero.  At
+        q = 2 the shift is the mean and (N, N') = (A + 2 B t + C t^2,
+        2 (B + C t)), with N floored at 0 against round-off; otherwise the
+        shift's root search starts from the last trial's shift.
         """
+        if self.q == 2.0:
+            (mean_u, mean_d), (a, b, c) = self.means, self.norm_terms
+            self.shift = mean_u + t * mean_d
+            return max(a + t * (2.0 * b + t * c), 0.0), 2.0 * (b + t * c)
         asm, (vals_u, vals_d) = self.asm, self.vals
         vals = vals_u + t * vals_d
-        if self.q == 2.0:
-            self.shift = asm.integrate_pointwise(vals) / asm.volume
-        else:
-            lo, hi = float(vals.min()), float(vals.max())
-            self.shift = _shift_root(vals, asm.quad_w, self.q, self.shift, lo, hi)
+        lo, hi = float(vals.min()), float(vals.max())
+        self.shift = _shift_root(vals, asm.quad_w, self.q, self.shift, lo, hi)
         shifted = vals - self.shift
         flux = asm.quad_w * np.copysign(np.abs(shifted) ** (self.q - 1.0), shifted)
         return float(np.vdot(flux, shifted)), self.q * float(np.vdot(flux, vals_d))
@@ -732,7 +748,7 @@ def minimize_rayleigh(
             # varies over orders of magnitude on cusp meshes and strangles
             # the step size.  Below p = 2 its rank-one term is negative and
             # is dropped, which leaves the lagged weights, an upper bound.
-            sq = np.einsum("ci,ci->c", grad_u, grad_u)
+            sq = _dot_rows(grad_u, grad_u)
             sq += 1e-12 * (float(np.mean(sq)) or 1.0)
             step = _weighted_step(
                 asm, grad_r, *_hessian_weights(asm, grad_u, sq, p, max(p - 2.0, 0.0))

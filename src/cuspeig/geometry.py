@@ -197,12 +197,17 @@ class Mesh:
     All cell volumes are strictly positive and per-cell quadrature weights
     sum to the cell volume.  Row k of a cell's edge matrix is its corner
     k + 1 minus its corner 0.  Instances are immutable after construction.
+
+    ``cells`` and ``inv_edges`` are indexed cell first, but stored
+    component-major: their memory is (n+1, C) and (n, n, C), so that
+    ``cells.T`` and ``inv_edges.transpose(1, 2, 0)`` are contiguous views
+    whose rows are (C,) arrays over the cells.
     """
 
     nodes: np.ndarray      # (N, n) coordinates
-    cells: np.ndarray      # (C, n+1) node indices
+    cells: np.ndarray      # (C, n+1) node indices, stored (n+1, C)
     volumes: np.ndarray    # (C,) positive cell volumes
-    inv_edges: np.ndarray  # (C, n, n) inverses of the cells' edge matrices
+    inv_edges: np.ndarray  # (C, n, n) inverses of the cells' edge matrices, stored (n, n, C)
 
     def __post_init__(self):
         for arr in (self.nodes, self.cells, self.volumes, self.inv_edges):
@@ -282,7 +287,8 @@ def _orient_and_check(
     |det| / n! and the inverses adj / det.  A cell with det < 0 gets its
     last two corners swapped, which swaps its last two edges: that negates
     det and swaps the inverse's last two columns, both exactly.  Fails
-    loudly on degenerate or non-finite cells.
+    loudly on degenerate or non-finite cells.  The cells and inverses come
+    back in ``Mesh``'s component-major storage.
     """
     n = nodes.shape[1]
     # Gathered coordinate-major, so that adjugate's entry-wise products
@@ -296,10 +302,11 @@ def _orient_and_check(
         raise GeometryError(
             "inverted, zero-volume or non-finite element after mapping; increase the resolution"
         )
-    inv_edges = np.divide(adj, det[:, None, None], out=np.empty(adj.shape))
+    storage = np.empty((n, n, det.size))
+    inv_edges = np.divide(adj, det[:, None, None], out=storage.transpose(2, 0, 1))
+    cells = np.array(cells, order="F")
     flip = det < 0.0
     if np.any(flip):
-        cells = cells.copy()
         cells[flip, -2:] = cells[flip, -2:][:, ::-1]
         inv_edges[flip, :, -2:] = inv_edges[flip, :, -2:][:, :, ::-1]
     return cells, vols, inv_edges

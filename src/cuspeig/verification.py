@@ -28,6 +28,7 @@ from .bounds import (
 )
 from .discretization import (
     ScalarField,
+    _dot_rows,
     _flux_weight,
     assembly,
     grad_norm_p,
@@ -205,8 +206,8 @@ def operator_monotonicity_stats(
         denom = float(
             np.sum(
                 asm.volumes
-                * (np.linalg.norm(gv, axis=1) + np.linalg.norm(gw, axis=1)) ** (p - 2.0)
-                * np.einsum("ci,ci->c", gd, gd)
+                * (np.linalg.norm(gv, axis=0) + np.linalg.norm(gw, axis=0)) ** (p - 2.0)
+                * _dot_rows(gd, gd)
             )
         )
         min_pairing = min(min_pairing, pairing)

@@ -9,7 +9,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import cuspeig as ce
-from cuspeig import discretization
+from cuspeig import discretization, eigensolver
 from cuspeig.discretization import assembly, p_form_apply, q_form_apply
 
 
@@ -26,20 +26,20 @@ class TestP1Exactness:
     def test_affine_gradient_exact_on_box(self, square16):
         w = np.array([2.0, -1.0])
         g = assembly(square16).gradients(square16.nodes @ w + 0.25)
-        assert np.max(np.abs(g - w)) <= 1e-12
+        assert np.max(np.abs(g - w[:, None])) <= 1e-12
 
     def test_affine_gradient_exact_on_box_3d(self):
         mesh = ce.mesh_box(ce.BoxDomain((1.0, 2.0, 1.0)), 4)
         w = np.array([1.0, -0.5, 0.25])
         g = assembly(mesh).gradients(mesh.nodes @ w)
-        assert np.max(np.abs(g - w)) <= 1e-12
+        assert np.max(np.abs(g - w[:, None])) <= 1e-12
 
     def test_linear_gradient_on_cusp(self, cusp16):
         # Sliver cells near the tip lose a few digits; see the tip note in
         # the geometry module.
         w = np.array([1.0, 0.5])
         g = assembly(cusp16).gradients(cusp16.nodes @ w)
-        assert np.max(np.abs(g - w)) <= 1e-7
+        assert np.max(np.abs(g - w[:, None])) <= 1e-7
 
 
 class TestGradNorm:
@@ -277,16 +277,18 @@ class TestFormApplications:
         assert analytic == pytest.approx(fd, rel=1e-6)
 
     def test_scatters_match_unbuffered_add(self, cusp16, rng):
-        # The element-order np.add.at reference: same additions in the same
-        # order from 0.0, so the sums agree bit for bit.
+        # The corner-major np.add.at reference: same additions in the same
+        # order from 0.0, so the sums agree bit for bit.  The cell
+        # contributions are summed row by row as the kernels do.
         for mesh in (cusp16, ce.mesh_cusp(ce.CuspDomain((1.5, 1.5)), 1.0, 4)):
             asm = assembly(mesh)
-            flux = rng.standard_normal((mesh.num_cells, mesh.n))
+            flux = rng.standard_normal((mesh.n, mesh.num_cells))
             points = rng.standard_normal(asm.quad_w.shape)
-            flux_contrib = np.einsum("ci,cik->ck", asm.volumes[:, None] * flux, asm.grads)
+            weighted = asm.volumes * flux
+            flux_contrib = sum(rows * weights for rows, weights in zip(asm.grads, weighted))
             for ours, contrib in (
                 (asm.scatter_flux(flux), flux_contrib),
-                (asm.scatter_quad(points), (asm.quad_w * points) @ asm.bary),
+                (asm.scatter_quad(points), asm.bary.T @ (asm.quad_w * points).T),
             ):
                 reference = np.zeros(mesh.num_nodes)
                 np.add.at(reference, asm.cells, contrib)
@@ -334,7 +336,7 @@ def test_neumann_solve_matches_dense_least_squares(make_mesh):
     rng = np.random.default_rng(5)
     rhs = asm.mass @ (rng.uniform(-1.0, 1.0, mesh.num_nodes) + 0.5)
     assert abs(rhs.sum()) > 0.1 * np.abs(rhs).sum()
-    sq = np.sum(asm.gradients(rng.uniform(-1.0, 1.0, mesh.num_nodes)) ** 2, axis=1)
+    sq = np.sum(asm.gradients(rng.uniform(-1.0, 1.0, mesh.num_nodes)) ** 2, axis=0)
     p3_weights = (sq + 1e-12 * np.mean(sq)) ** 0.5
 
     def mass_norm(v):
@@ -342,7 +344,7 @@ def test_neumann_solve_matches_dense_least_squares(make_mesh):
 
     for weights in (np.ones(mesh.num_cells), p3_weights):
         ours = asm.bordered_solve(asm.bordered_factorization(asm.weighted_stiffness(weights)), rhs)
-        matrix = coo_assembly(asm, (asm.volumes * weights)[:, None, None] * asm.grad_gram)
+        matrix = coo_assembly(asm, (asm.volumes * weights)[:, None, None] * cell_gram(asm))
         dense, *_ = np.linalg.lstsq(matrix.toarray(), asm.project_load(rhs))
         reference = asm.zero_mean(dense)
         assert abs(asm.mass_vector @ ours) <= 1e-12 * np.abs(ours).sum()
@@ -367,10 +369,25 @@ ASSEMBLY_MESHES = ["square16", "cusp_g2_res32", "cusp3d_res4", "cube3d_res4"]
 
 def coo_assembly(asm, local):
     """Reference: scipy's COO -> CSR conversion of a (C, n+1, n+1) local array."""
-    nloc = asm.cells.shape[1]
-    rows = np.repeat(asm.cells, nloc, axis=1).ravel()
-    cols = np.tile(asm.cells, (1, nloc)).ravel()
+    cells = asm.cells.T
+    nloc = cells.shape[1]
+    rows = np.repeat(cells, nloc, axis=1).ravel()
+    cols = np.tile(cells, (1, nloc)).ravel()
     return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(asm.num_nodes,) * 2).tocsr()
+
+
+def cell_gram(asm):
+    """Reference: the (C, n+1, n+1) cell Gram matrices G^T G, cell-major, by einsum."""
+    return np.einsum("ikc,ilc->ckl", asm.grads, asm.grads)
+
+
+def spread_gram(asm):
+    """The assembly's own pair-major Gram entries, spread to (C, n+1, n+1)."""
+    first, second = asm.pairs
+    local = np.empty((asm.volumes.size,) + (len(asm.cells),) * 2)
+    local[:, first, second] = asm.gram.T
+    local[:, second, first] = asm.gram.T
+    return local
 
 
 def grounded_upper(asm, matrix):
@@ -401,18 +418,20 @@ def test_weighted_stiffness_matches_coo_assembly(request, mesh_name, rank_one):
     # differ by at most (m - 1) eps times the terms' absolute sum, to first
     # order (Higham, Accuracy and Stability of Numerical Algorithms, ch. 4),
     # so a single term and an entry outside the pattern must match exactly.
+    # The reference takes the band's own Gram entries, so it sums the same
+    # terms.
     mesh = request.getfixturevalue(mesh_name)
     asm = assembly(mesh)
     rng = np.random.default_rng(3)
     weights = rng.uniform(0.1, 2.0, mesh.num_cells)
     args = (weights,)
-    local = (asm.volumes * weights)[:, None, None] * asm.grad_gram
+    local = (asm.volumes * weights)[:, None, None] * spread_gram(asm)
     if rank_one:
         rank_weights = rng.uniform(0.0, 1.0, mesh.num_cells)
-        rows = rng.normal(size=(mesh.num_cells, mesh.n + 1))
+        rows = rng.normal(size=(mesh.n + 1, mesh.num_cells))
         args += (rank_weights, rows)
         local = local + (asm.volumes * rank_weights)[:, None, None] * (
-            rows[:, :, None] * rows[:, None, :]
+            rows.T[:, :, None] * rows.T[:, None, :]
         )
     band = asm.weighted_stiffness(*args)
     assert band.flags.f_contiguous
@@ -426,9 +445,15 @@ def test_weighted_stiffness_matches_coo_assembly(request, mesh_name, rank_one):
 
 @pytest.mark.parametrize("mesh_name", ASSEMBLY_MESHES)
 def test_stiffness_and_mass_match_coo_assembly(request, mesh_name):
+    # Bitwise against the cell-major construction the pair-major Gram
+    # replaced: n sums of outer products of each cell's gradient rows.
     asm = assembly(request.getfixturevalue(mesh_name))
+    rows = asm.grads.transpose(2, 0, 1)  # (C, n, n+1)
+    gram = rows[:, 0, :, None] * rows[:, 0, None, :]
+    for i in range(1, rows.shape[1]):
+        gram += rows[:, i, :, None] * rows[:, i, None, :]
     rule_local = np.einsum("k,ki,kj->ij", asm.quad_w[0] / asm.volumes[0], asm.bary, asm.bary)
-    assert_same_csr(asm.stiffness, coo_assembly(asm, asm.volumes[:, None, None] * asm.grad_gram))
+    assert_same_csr(asm.stiffness, coo_assembly(asm, asm.volumes[:, None, None] * gram))
     assert_same_csr(asm.mass, coo_assembly(asm, asm.volumes[:, None, None] * rule_local))
 
 
@@ -438,7 +463,7 @@ def test_2d_factor_is_backward_stable_like_superlu(cusp_g2_res32):
     asm = assembly(cusp_g2_res32)
     rng = np.random.default_rng(4)
     weights = rng.uniform(0.1, 2.0, cusp_g2_res32.num_cells)
-    matrix = coo_assembly(asm, (asm.volumes * weights)[:, None, None] * asm.grad_gram)
+    matrix = coo_assembly(asm, (asm.volumes * weights)[:, None, None] * cell_gram(asm))
     block = matrix[asm.free][:, asm.free]
     reference = spla.splu(
         block.tocsc(),
@@ -552,3 +577,66 @@ def test_indefinite_grounded_block_raises(cusp16, cusp3d_res4):
         message = rf"Neumann factorization failed: grounded block \({mesh.num_nodes - 1} unknowns\)"
         with pytest.raises(ce.ConvergenceError, match=message):
             asm.bordered_factorization(asm.weighted_stiffness(-np.ones(mesh.num_cells)))
+
+
+KERNEL_MESHES = ["square16", "cusp_g2_res32", "cusp3d_res4"]
+
+
+def cell_major_operators(mesh):
+    """Reference: the (C, n, n+1) cell gradient operators, cell-major, from
+    the mesh's public (C, n, n) inverse edge matrices."""
+    inv = np.ascontiguousarray(mesh.inv_edges)
+    return np.concatenate([-inv.sum(axis=2, keepdims=True), inv], axis=2)
+
+
+@pytest.mark.parametrize("mesh_name", KERNEL_MESHES)
+def test_component_major_kernels_match_cell_major_einsum(request, mesh_name, rng):
+    # Each kernel sums n or n + 1 row products in its own order, so it
+    # stays within 2 (n + 1) eps of the einsum reference, relative to the
+    # same sum over absolute values (Higham, ch. 3).
+    mesh = request.getfixturevalue(mesh_name)
+    asm = assembly(mesh)
+    bound = 2.0 * (mesh.n + 1) * np.finfo(float).eps
+    ops = cell_major_operators(mesh)
+    values = rng.uniform(-1.0, 1.0, mesh.num_nodes)
+
+    corners = values[mesh.cells]
+    diffs = corners[:, 1:] - corners[:, :1]
+    reference = np.einsum("cij,cj->ci", mesh.inv_edges, diffs)
+    scale = np.einsum("cij,cj->ci", np.abs(mesh.inv_edges), np.abs(diffs))
+    grads = asm.gradients(values)
+    assert grads.shape == (mesh.n, mesh.num_cells)
+    assert np.all(np.abs(grads.T - reference) <= bound * scale)
+
+    flux = rng.standard_normal((mesh.n, mesh.num_cells))
+    contrib = np.einsum("ci,cik->ck", asm.volumes[:, None] * flux.T, ops)
+    reference, scale = np.zeros(mesh.num_nodes), np.zeros(mesh.num_nodes)
+    np.add.at(reference, mesh.cells, contrib)
+    abs_contrib = np.einsum("ci,cik->ck", asm.volumes[:, None] * np.abs(flux.T), np.abs(ops))
+    np.add.at(scale, mesh.cells, abs_contrib)
+    # The node sums add up to a few dozen cell terms in another order.
+    assert np.all(np.abs(asm.scatter_flux(flux) - reference) <= 64.0 * bound * scale)
+
+    first, second = asm.pairs
+    gram = np.einsum("cik,cil->ckl", ops, ops)[:, first, second].T
+    scale = np.einsum("cik,cil->ckl", np.abs(ops), np.abs(ops))[:, first, second].T
+    assert asm.gram.shape == (len(first), mesh.num_cells)
+    assert np.all(np.abs(asm.gram - gram) <= bound * scale)
+
+    sq = np.sum(grads**2, axis=0)
+    rank_rows = eigensolver._hessian_weights(asm, grads, sq, 3.0, 1.0)[2]
+    reference = np.einsum("cik,ci->ck", ops, grads.T)
+    scale = np.einsum("cik,ci->ck", np.abs(ops), np.abs(grads.T))
+    assert rank_rows.shape == (mesh.n + 1, mesh.num_cells)
+    assert np.all(np.abs(rank_rows.T - reference) <= bound * scale)
+
+
+def test_mesh_storage_is_component_major(cusp3d_res4):
+    # The public shapes stay cell-first; the assembly's views are the
+    # contiguous component-major storage, not copies.
+    mesh = cusp3d_res4
+    asm = assembly(mesh)
+    assert mesh.cells.shape == (mesh.num_cells, 4)
+    assert mesh.inv_edges.shape == (mesh.num_cells, 3, 3)
+    assert asm.cells.flags.c_contiguous and np.shares_memory(asm.cells, mesh.cells)
+    assert asm.inv_edges.flags.c_contiguous and np.shares_memory(asm.inv_edges, mesh.inv_edges)

@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 from collections import Counter
 
 import numpy as np
@@ -749,7 +750,7 @@ def test_ray_hands_back_the_normalized_field_and_its_cell_arrays(
         assert pair.iterations >= 12
     assert len(accepted) >= 4
     def energy(g):
-        return math.sqrt(asm.volumes @ np.einsum("ci,ci->c", g, g))
+        return math.sqrt(asm.volumes @ np.einsum("ic,ic->c", g, g))
 
     for w, grads, vals in accepted:
         gathered = asm.gradients(w)
@@ -777,3 +778,65 @@ def test_route_a_gathers_gradients_once_per_step(cusp_g2_res32, monkeypatch):
     pair = ce.minimize_rayleigh(cusp_g2_res32, 4.0, 3.0, tol=1e-6)
     assert pair.iterations >= 12
     assert calls[0] == (pair.iterations - 1) + 3 + 2
+
+
+def test_q2_ray_norm_is_closed_form(cusp_g2_res32, rng, monkeypatch):
+    # At q = 2 the shift c is the mean, linear in t, and N = int (v - c)^2 a
+    # quadratic in t: a trial must give the direct quadrature sums of
+    # v = u + t d without a quadrature pass or a root search.  d has a
+    # nonzero mean, so the shift moves.
+    mesh = cusp_g2_res32
+    asm = assembly(mesh)
+    u = ce.project_zero_mean(ce.default_initial_field(mesh), 2.0).values
+    u = u / ce.lq_norm(ce.ScalarField(mesh, u), 2.0)
+    d = rng.uniform(-1.0, 2.0, mesh.num_nodes)
+    vals_u, vals_d = asm.quad_values(u), asm.quad_values(d)
+    ray = _Ray(asm, asm.gradients(u), asm.gradients(d), vals_u, vals_d, 3.0, 2.0)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a q = 2 trial made a quadrature pass or a root search")
+
+    monkeypatch.setattr(EnergyAssembly, "integrate_pointwise", refuse)
+    monkeypatch.setattr(eigensolver, "_shift_root", refuse)
+    for t in (-0.5, 1e-6, 0.3, 4.0):
+        norm, slope = ray.shift_norm(t)
+        vals = vals_u + t * vals_d
+        shift = np.sum(asm.quad_w * vals) / asm.volume
+        shifted = vals - shift
+        direct = np.sum(asm.quad_w * shifted**2)
+        d_mean_free = vals_d - np.sum(asm.quad_w * vals_d) / asm.volume
+        # |N'| <= 2 sqrt(N int d~^2) by Cauchy-Schwarz: the slope's scale.
+        slope_scale = 2.0 * math.sqrt(direct * np.sum(asm.quad_w * d_mean_free**2))
+        assert ray.shift == pytest.approx(shift, rel=1e-13, abs=1e-13 * np.mean(np.abs(vals)))
+        assert norm == pytest.approx(direct, rel=1e-13)
+        direct_slope = 2.0 * np.sum(asm.quad_w * shifted * vals_d)
+        assert slope == pytest.approx(direct_slope, abs=1e-13 * slope_scale)
+        ray(t)
+        assert ray.shifts[t] == (ray.shift, norm)
+
+
+@pytest.mark.parametrize(
+    "gammas, res, method, p",
+    [((1.5, 1.5), 4, "minimize", 3.0), ((2.0,), 16, "iterate", 2.5)],
+    ids=["route_a_3d", "route_b_2d"],
+)
+def test_solve_calls_no_einsum(monkeypatch, gammas, res, method, p):
+    # Every per-cell kernel is a few contiguous row operations on
+    # component-major arrays.  The set-up (mesh, stiffness, mass) is left
+    # out, as in the benchmark.
+    mesh = ce.mesh_cusp(ce.CuspDomain(gammas), 1.0, res)
+    asm = assembly(mesh)
+    asm.stiffness, asm.mass
+    einsum = np.einsum
+    callers = Counter()
+
+    def counted(*args, **kwargs):
+        module = sys._getframe(1).f_globals.get("__name__", "")
+        if module.startswith("cuspeig"):
+            callers[module] += 1
+        return einsum(*args, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", counted)
+    pair, _ = ce.solve_eigenpair(mesh, p, 2.0, method, 1e-6)
+    assert pair.weak_residual <= 1e-6
+    assert not callers, dict(callers)
